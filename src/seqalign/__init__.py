@@ -18,7 +18,6 @@ from .core import (
 from .evaluation import diagonal_path, jaccard_score, random_path
 from .polytope import (
     AlignmentPath,
-    BandMatrix,
     CellMask,
     InfeasibleError,
     StreamLayout,

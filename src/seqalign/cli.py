@@ -37,7 +37,6 @@ def build_parser():
     p.add_argument("--supervision", choices=["none", "soft", "hard"])
     p.add_argument("--gap-tol", type=float, dest="gap_tol")
     p.add_argument("--max-iter", type=int, dest="max_iter")
-    p.add_argument("--seed", type=int)
 
     p = sub.add_parser("eval", help="score predictions against annotations")
     _add_manifest_flags(p)
@@ -93,7 +92,6 @@ def main(argv=None):
                 "supervision": args.supervision,
                 "gap_tol": args.gap_tol,
                 "max_iter": args.max_iter,
-                "seed": args.seed,
             }
             report = pipeline.run_align(manifest, args.out_dir, overrides)
             print(

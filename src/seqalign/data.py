@@ -38,16 +38,20 @@ def read_matrix(path):
     body = [ln for ln in lines[1:] if ln.strip()]
     if len(body) != rows:
         raise ValueError(f"{path}: expected {rows} data lines, found {len(body)}")
-    out = np.empty((rows, cols))
+    if cols < 0:
+        raise ValueError(f"{path}:1: negative column count {cols}")
+    values = []
     for r, ln in enumerate(body):
         toks = ln.split(",")
         if len(toks) != cols:
             raise ValueError(f"{path}:{r + 2}: expected {cols} values, found {len(toks)}")
         try:
-            out[r] = [float(t) for t in toks]
+            values.append([float(t) for t in toks])
         except ValueError:
             raise ValueError(f"{path}:{r + 2}: non-numeric token") from None
-    return out
+    # Allocated only now: the header's column count is not trusted until
+    # the lines bear it out.
+    return np.array(values, dtype=np.float64).reshape(rows, cols)
 
 
 def write_annotations(path, ann):
@@ -89,12 +93,20 @@ def read_predictions(path):
     lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
     if not lines or lines[0] != PREDICTION_HEADER:
         raise ValueError(f"{path}: missing '{PREDICTION_HEADER}' header")
+    if len(lines) == 1:
+        raise ValueError(f"{path}: no prediction lines")
     assignment = []
     for k, ln in enumerate(lines[1:], start=2):
-        toks = ln.split(",")
-        if len(toks) != 2 or int(toks[0]) != k - 2:
+        try:
+            i, j = (int(t) for t in ln.split(","))
+        except ValueError:
+            raise ValueError(f"{path}:{k}: malformed prediction line") from None
+        if i != k - 2:
             raise ValueError(f"{path}:{k}: malformed prediction line")
-        assignment.append(int(toks[1]))
+        # A path starts at row 0 and steps by at most 1, so row j <= column i.
+        if not 0 <= j <= i:
+            raise ValueError(f"{path}:{k}: row {j} out of range")
+        assignment.append(j)
     a = np.asarray(assignment, dtype=np.int64)
     return AlignmentPath(a, j_count=int(a[-1]) + 1)
 
@@ -222,11 +234,36 @@ class Manifest:
 
 
 def read_manifest(path):
+    """Load a manifest; a file of the wrong shape raises ValueError.
+
+    The file must hold a JSON object whose "streams" is a list of objects,
+    each naming "id", "phi_path" and "psi_path" as strings, and whose
+    "hyperparameters", if present, is an object.
+    """
     path = Path(path)
-    raw = json.loads(path.read_text())
+    try:
+        raw = json.loads(path.read_text())
+    except RecursionError:
+        raise ValueError(f"{path}: JSON nested too deeply") from None
+    if not isinstance(raw, dict):
+        raise ValueError(f"{path}: manifest must be a JSON object")
+    streams = raw.get("streams")
+    if not isinstance(streams, list):
+        raise ValueError(f"{path}: 'streams' must be a list")
+    for k, rec in enumerate(streams):
+        if not isinstance(rec, dict):
+            raise ValueError(f"{path}: streams[{k}] must be an object")
+        for key in ("id", "phi_path", "psi_path"):
+            if not isinstance(rec.get(key), str):
+                raise ValueError(f"{path}: streams[{k}] needs a string {key!r}")
+        if not isinstance(rec.get("annotation_path", ""), (str, type(None))):
+            raise ValueError(f"{path}: streams[{k}]: 'annotation_path' must be a string")
+    hp = raw.get("hyperparameters", {})
+    if not isinstance(hp, dict):
+        raise ValueError(f"{path}: 'hyperparameters' must be an object")
     return Manifest(
-        streams=raw["streams"],
-        hyperparameters=raw.get("hyperparameters", {}),
+        streams=streams,
+        hyperparameters=hp,
         synth=raw.get("synth"),
         base_dir=path.parent,
     )

@@ -53,8 +53,6 @@ _ROUNDERS = ("nearest", "feature", "model")
 
 def round_stream(instance, result, n, rounding):
     """Round stream n of a solve result with the requested procedure."""
-    if instance.fixed[n] is not None:
-        return instance.fixed[n]
     layout = instance.layout
     i0, j0 = layout.i_offsets[n], layout.j_offsets[n]
     In, Jn = layout.i_sizes[n], layout.j_sizes[n]
@@ -121,7 +119,6 @@ def run_align(manifest, out_dir, overrides=None):
         "stop_reason": result.stop_reason,
         "final_objective": result.objective_trace[-1],
         "final_gap": result.gap_trace[-1],
-        "affine_augmented": True,
         "timings": {"load_s": t_load, "solve_s": t_solve},
     }
     (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")

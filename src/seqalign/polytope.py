@@ -62,17 +62,6 @@ class CellMask:
 
 
 @dataclass(frozen=True)
-class BandMatrix:
-    """Indicator of cells outside the diagonal band of half-width beta.
-
-    y_c[j, i] = 0 iff |j/J - i/I| <= beta (0-based indices), else 1.
-    """
-
-    y_c: np.ndarray
-    beta: float
-
-
-@dataclass(frozen=True)
 class StreamLayout:
     """Block-diagonal layout of per-stream assignment matrices."""
 
@@ -194,34 +183,31 @@ def path_count(i_count, j_count):
 
 
 def band_indicator(j_count, i_count, beta):
-    """Indicator matrix of cells outside the normalized diagonal band."""
+    """(J, I) 0/1 matrix Y_c of the cells outside the diagonal band of half-width beta.
+
+    Y_c[j, i] = 0 iff |j/J - i/I| <= beta (0-based indices), else 1.
+    """
     if not 0.0 <= beta <= 1.0:
         raise ValueError("beta must lie in [0, 1]")
     j = np.arange(j_count)[:, None] / j_count
     i = np.arange(i_count)[None, :] / i_count
-    y_c = (np.abs(j - i) > beta).astype(np.float64)
-    return BandMatrix(y_c=y_c, beta=float(beta))
+    return (np.abs(j - i) > beta).astype(np.float64)
 
 
-def lmo_blocks(cost, layout, masks=None, fixed=None):
+def lmo_blocks(cost, layout, masks=None):
     """Per-stream linear minimization over the block-diagonal polytope.
 
     cost is (J_total, I_total); only the diagonal blocks are read.  masks
-    and fixed are optional per-stream lists; a non-None entry of ``fixed``
-    pins that stream's vertex to the given path (supervised blocks).
+    is an optional per-stream list of CellMask or None; a hard-supervised
+    stream's mask admits a single path, which the oracle then returns.
 
     Returns (paths, value) with value the sum of block optima.
     """
     paths = []
     total = 0.0
     for n in range(layout.n_streams):
-        block_cost = layout.block(cost, n)
-        if fixed is not None and fixed[n] is not None:
-            p = fixed[n]
-            v = float(block_cost[p.assignment, np.arange(p.i_count)].sum())
-        else:
-            m = masks[n] if masks is not None else None
-            p, v = minimize_linear(block_cost, m)
+        m = masks[n] if masks is not None else None
+        p, v = minimize_linear(layout.block(cost, n), m)
         paths.append(p)
         total += v
     return paths, total

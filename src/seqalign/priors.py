@@ -48,24 +48,13 @@ def duration_penalty(y, config):
     return float(np.dot(d, d) / (2.0 * config.sigma**2))
 
 
-def duration_gradient(y, config):
-    """Gradient of duration_penalty: (1/sigma^2) (Y 1_I - mu) 1_I^T."""
+def band_penalty(y, y_c, alpha):
+    """alpha * Tr(Y_c^T Y): penalized mass outside the diagonal band.
+
+    y_c is the 0/1 indicator of the cells outside the band (see
+    polytope.band_indicator).
+    """
     y = np.asarray(y, dtype=np.float64)
-    mu = config.mu_vector(y.shape[0])
-    d = (y.sum(axis=1) - mu) / config.sigma**2
-    return np.repeat(d[:, None], y.shape[1], axis=1)
-
-
-def band_penalty(y, band, alpha):
-    """alpha * Tr(Y_c^T Y): penalized mass outside the diagonal band."""
-    y = np.asarray(y, dtype=np.float64)
-    if band.y_c.shape != y.shape:
+    if np.shape(y_c) != y.shape:
         raise ValueError("band indicator shape does not match y")
-    return float(alpha * np.sum(band.y_c * y))
-
-
-def band_gradient(y, band, alpha):
-    """Gradient of band_penalty: the constant matrix alpha * Y_c."""
-    if band.y_c.shape != np.shape(y):
-        raise ValueError("band indicator shape does not match y")
-    return alpha * band.y_c
+    return float(alpha * np.sum(y_c * y))

@@ -22,7 +22,6 @@ from .polytope import (
     StreamLayout,
     band_indicator,
     blocks_to_matrix,
-    is_feasible,
     lmo_blocks,
     minimize_linear,
     path_to_matrix,
@@ -35,8 +34,9 @@ class ProblemInstance:
     """A fully assembled relaxed alignment problem.
 
     phi and psi are the concatenated (and, for phi, affine-augmented)
-    feature matrices; masks and fixed are per-stream lists (None entries
-    where a stream is unconstrained / free).
+    feature matrices; masks is a per-stream tuple of CellMask, None where a
+    stream is unconstrained.  A hard-supervised stream is pinned by a mask
+    that admits only its annotated path.
     """
 
     psi: np.ndarray  # (E, J_total)
@@ -46,14 +46,10 @@ class ProblemInstance:
     priors: PriorConfig
     band: np.ndarray  # (J_total, I_total), block-diagonal band indicator
     masks: tuple = None
-    fixed: tuple = None
-    kappa: float = 1.0
 
     def __post_init__(self):
         if self.masks is None:
             object.__setattr__(self, "masks", tuple([None] * self.layout.n_streams))
-        if self.fixed is None:
-            object.__setattr__(self, "fixed", tuple([None] * self.layout.n_streams))
 
 
 @dataclass
@@ -71,14 +67,8 @@ def block_band(layout, beta):
     """Block-diagonal band indicator for a multi-stream layout."""
     y_c = np.zeros((layout.j_total, layout.i_total))
     for n in range(layout.n_streams):
-        b = band_indicator(layout.j_sizes[n], layout.i_sizes[n], beta)
-        layout.block(y_c, n)[:, :] = b.y_c
+        layout.block(y_c, n)[:, :] = band_indicator(layout.j_sizes[n], layout.i_sizes[n], beta)
     return y_c
-
-
-@dataclass(frozen=True)
-class _Band:
-    y_c: np.ndarray
 
 
 def objective(instance, y):
@@ -86,15 +76,20 @@ def objective(instance, y):
     return (
         discriminative_cost(instance.psi, y, instance.kernel)
         + duration_penalty(y, instance.priors)
-        + band_penalty(y, _Band(instance.band), instance.priors.alpha)
+        + band_penalty(y, instance.band, instance.priors.alpha)
     )
 
 
 def gradient(instance, y):
-    """(1/I) psi^T psi Y Q + (1/sigma^2)(Y 1 - mu) 1^T + alpha Y_c."""
+    """(1/I) psi^T psi Y Q + (1/sigma^2)(Y 1 - mu) 1^T + alpha Y_c.
+
+    The data term is taken as psi^T ((psi Y) Q): the product with Q costs
+    E I^2 flops instead of the J I^2 of (psi^T psi Y) Q, and the text
+    dimension E is below J_total on any suite of more than a few streams.
+    """
     y = np.asarray(y, dtype=np.float64)
     p = instance.priors
-    g = (instance.psi.T @ (instance.psi @ y)) @ instance.kernel.q_matrix
+    g = instance.psi.T @ ((instance.psi @ y) @ instance.kernel.q_matrix)
     g /= instance.kernel.i_total
     d = (y.sum(axis=1) - p.mu_vector(y.shape[0])) / p.sigma**2
     g += d[:, None]
@@ -352,9 +347,6 @@ def _initial_paths(instance):
     layout = instance.layout
     paths = []
     for n in range(layout.n_streams):
-        if instance.fixed[n] is not None:
-            paths.append(instance.fixed[n])
-            continue
         I, J = layout.i_sizes[n], layout.j_sizes[n]
         mask = instance.masks[n]
         diag = diagonal_path(I, J)
@@ -386,15 +378,11 @@ def solve(instance, max_iter=2000, gap_tol=1e-6, init=None):
       only when the gap is as small as rounding error lets it be:
       stop_reason "stalled".
 
-    ``iterations`` is that t, the number of corrections made.
+    ``iterations`` is that t, the number of corrections made.  A stream
+    whose mask admits no path raises InfeasibleError, a ValueError, before
+    the first iteration.
     """
     layout = instance.layout
-    for n in range(layout.n_streams):
-        if instance.fixed[n] is None and not is_feasible(
-            layout.j_sizes[n], layout.i_sizes[n], instance.masks[n]
-        ):
-            raise ValueError(f"stream {n}: mask admits no feasible path")
-
     paths = init if init is not None else _initial_paths(instance)
     active = _ActiveSet(instance)
     for n, p in enumerate(paths):
@@ -409,7 +397,7 @@ def solve(instance, max_iter=2000, gap_tol=1e-6, init=None):
 
     for t in range(max_iter + 1):
         grad = gradient(instance, y)
-        v_paths, _ = lmo_blocks(grad, layout, instance.masks, instance.fixed)
+        v_paths, _ = lmo_blocks(grad, layout, instance.masks)
         gap = active.gap(grad, v_paths)
         result.objective_trace.append(obj)
         result.gap_trace.append(gap)

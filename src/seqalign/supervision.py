@@ -152,12 +152,12 @@ def assemble(
     mu_background=None,
     kappa=1.0,
     mode="soft",
-    augment=True,
 ):
     """Build a ProblemInstance from a list of streams.
 
-    Supervised streams have psi and phi scaled by kappa and carry either a
-    soft interval mask or (mode="hard") a pinned ground-truth path derived
+    phi is augmented with a row of ones.  Supervised streams have psi and
+    phi scaled by kappa and carry either a soft interval mask or
+    (mode="hard") a mask that admits only the ground-truth path derived
     from their annotation.  mode="none" ignores annotations entirely.
     """
     if kappa < 0:
@@ -171,9 +171,9 @@ def assemble(
     if len(e_dims) != 1 or len(d_dims) != 1:
         raise ValueError("inconsistent feature dimensions across streams")
 
-    phis, psis, masks, fixed = [], [], [], []
+    phis, psis, masks = [], [], []
     for s in streams:
-        phi = augment_affine(s.phi) if augment else np.asarray(s.phi, dtype=np.float64)
+        phi = augment_affine(s.phi)
         psi = np.asarray(s.psi, dtype=np.float64)
         if s.supervised and mode != "none":
             if s.annotation is None:
@@ -183,15 +183,12 @@ def assemble(
             if mode == "hard":
                 y_s = annotation_to_path(s.annotation, s.j_count, s.i_count, s.background)
                 masks.append(fix_assignment_mask(y_s))
-                fixed.append(y_s)
             else:
                 masks.append(
                     build_interval_mask(s.annotation, s.j_count, s.i_count, s.background)
                 )
-                fixed.append(None)
         else:
             masks.append(None)
-            fixed.append(None)
         phis.append(phi)
         psis.append(psi)
 
@@ -214,6 +211,4 @@ def assemble(
         priors=priors,
         band=block_band(layout, beta),
         masks=tuple(masks),
-        fixed=tuple(fixed),
-        kappa=float(kappa),
     )

@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from seqalign import cli, pipeline
 from seqalign.data import (
@@ -60,6 +62,12 @@ class TestMatrixIO:
         with pytest.raises(ValueError, match="expected 3 data lines"):
             read_matrix(f)
 
+    def test_column_count_checked_before_allocation(self, tmp_path):
+        f = tmp_path / "m.csv"
+        f.write_text("2,1000000000000\n1.0\n2.0\n")
+        with pytest.raises(ValueError, match=":2: expected 1000000000000 values"):
+            read_matrix(f)
+
 
 class TestAnnotationIO:
     def test_round_trip(self, tmp_path):
@@ -102,6 +110,116 @@ class TestPredictionIO:
         f.write_text("i,j\n0,0\n2,1\n")
         with pytest.raises(ValueError, match=":3"):
             read_predictions(f)
+
+    def test_header_only_rejected(self, tmp_path):
+        f = tmp_path / "p.csv"
+        f.write_text("i,j\n")
+        with pytest.raises(ValueError, match="no prediction lines"):
+            read_predictions(f)
+
+
+# Tokens near the readers' edge cases: small and out-of-range integers,
+# floats of every kind and numeric-looking noise.
+_TOKEN = st.one_of(
+    st.integers(-2, 12).map(str),
+    st.integers(-(2**70), 2**70).map(str),
+    st.floats().map(repr),
+    st.text(alphabet="0123456789-+.eEinfINFaN _x", max_size=6),
+)
+_LINE = st.lists(_TOKEN, max_size=5).map(",".join)
+
+
+def _csv(*headers):
+    """File bytes: a known header or a noise line, then noise lines, or raw bytes."""
+    first = st.one_of(st.sampled_from(headers), _LINE) if headers else _LINE
+    text = st.builds(lambda h, body: "\n".join([h, *body]), first, st.lists(_LINE, max_size=6))
+    return st.one_of(
+        text.map(str.encode),
+        st.text(st.characters(blacklist_categories=("Cs",)), max_size=30).map(str.encode),
+        st.binary(max_size=30),
+    )
+
+
+_JSON = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.text(max_size=6), inner, max_size=3),
+    max_leaves=8,
+)
+_RECORD = st.fixed_dictionaries(
+    {},
+    optional={
+        key: st.one_of(st.text(max_size=6), _JSON)
+        for key in ("id", "phi_path", "psi_path", "annotation_path", "supervised")
+    },
+)
+_MANIFEST = st.one_of(
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "streams": st.one_of(st.lists(st.one_of(_RECORD, _JSON), max_size=3), _JSON),
+            "hyperparameters": st.one_of(st.dictionaries(st.text(max_size=6), _JSON), _JSON),
+            "synth": _JSON,
+        },
+    ),
+    _JSON,
+).map(json.dumps).map(str.encode)
+
+# The exceptions cli.main reports as a one-line error with exit code 1.
+_REPORTED = (ValueError, OSError, KeyError)
+_FUZZ = settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+
+
+class TestReadersFuzz:
+    """Any file content parses or raises one of the errors the CLI reports."""
+
+    @_FUZZ
+    @given(content=_csv("2,3", "0,0", "1,2"))
+    def test_read_matrix(self, tmp_path, content):
+        f = tmp_path / "m.csv"
+        f.write_bytes(content)
+        try:
+            read_matrix(f)
+        except _REPORTED:
+            pass
+
+    @_FUZZ
+    @given(
+        content=_csv("j,i_start,i_end"),
+        sizes=st.none() | st.tuples(st.integers(0, 6), st.integers(0, 12)),
+    )
+    def test_read_annotations(self, tmp_path, content, sizes):
+        f = tmp_path / "a.csv"
+        f.write_bytes(content)
+        j_count, i_count = sizes or (None, None)
+        try:
+            read_annotations(f, j_count=j_count, i_count=i_count)
+        except _REPORTED:
+            pass
+
+    @_FUZZ
+    @given(content=_csv("i,j"))
+    def test_read_predictions(self, tmp_path, content):
+        f = tmp_path / "p.csv"
+        f.write_bytes(content)
+        try:
+            read_predictions(f)
+        except _REPORTED:
+            pass
+
+    @_FUZZ
+    @given(content=st.one_of(_MANIFEST, _csv()))
+    def test_read_manifest(self, tmp_path, content):
+        f = tmp_path / "manifest.json"
+        f.write_bytes(content)
+        try:
+            # A manifest that loads has the shape load_streams walks, so
+            # only the stream files' own errors can follow.
+            pipeline.load_streams(read_manifest(f))
+        except _REPORTED:
+            pass
 
 
 class TestInterleaveBackground:
@@ -307,6 +425,30 @@ class TestCli:
         )
         assert code == 1
         assert "Error" in capsys.readouterr().err
+
+    def test_eval_on_header_only_predictions_exits_1(self, tmp_path, capsys):
+        pipeline.run_synth(tmp_path, n_streams=1, sentences=2, intervals=6, seed=1)
+        (tmp_path / "pred_stream_00.csv").write_text("i,j\n")
+        code = cli.main(
+            ["eval", "--manifest", str(tmp_path / "manifest.json"), "--out-dir", str(tmp_path)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ValueError: ")
+
+    @pytest.mark.parametrize(
+        "content",
+        ["[]", '{"streams": 3}', '{"streams": [{"id": "a", "phi_path": 1, "psi_path": "b"}]}',
+         '{"streams": [], "hyperparameters": [1]}', "[" * 100_000],
+        ids=["array", "int-streams", "int-path", "list-hyperparameters", "deep-nesting"],
+    )
+    def test_malformed_manifest_exits_1(self, tmp_path, capsys, content):
+        manifest = tmp_path / "manifest.json"
+        manifest.write_text(content)
+        code = cli.main(["align", "--manifest", str(manifest), "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ValueError: ")
 
     def test_sweep_smoke(self, tmp_path, capsys):
         suite = tmp_path / "suite"

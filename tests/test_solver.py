@@ -41,13 +41,12 @@ class TestObjective:
         inst = make_instance(rng, i_count=6, n_sentences=2)
         y = random_hull_point(rng, inst)
         from seqalign.core import discriminative_cost
-        from seqalign.solver import _Band
 
         total = objective(inst, y)
         parts = (
             discriminative_cost(inst.psi, y, inst.kernel)
             + duration_penalty(y, inst.priors)
-            + band_penalty(y, _Band(inst.band), inst.priors.alpha)
+            + band_penalty(y, inst.band, inst.priors.alpha)
         )
         assert total == pytest.approx(parts, abs=1e-12)
 
@@ -96,7 +95,6 @@ class TestGradient:
             priors=inst.priors,
             band=inst.band,
             masks=inst.masks,
-            fixed=inst.fixed,
         )
         mu = inst.priors.mu_vector(inst.layout.j_total)
         y = np.tile((mu / inst.layout.i_total)[:, None], (1, inst.layout.i_total))
@@ -113,7 +111,6 @@ class TestGradient:
             priors=inst.priors,
             band=inst.band,
             masks=inst.masks,
-            fixed=inst.fixed,
         )
         y = rng.random((inst.layout.j_total, inst.layout.i_total))
         np.testing.assert_allclose(gradient(inst, y), 0.4 * inst.band, atol=1e-17)
@@ -220,7 +217,6 @@ class TestSolve:
             priors=inst.priors,
             band=inst.band,
             masks=(fix_assignment_mask(pinned),),
-            fixed=(pinned,),
         )
         res = solve(inst, max_iter=100)
         np.testing.assert_array_equal(res.y_relaxed, path_to_matrix(pinned))

@@ -143,7 +143,6 @@ class TestAssemble:
         np.testing.assert_array_equal(inst_none.psi, plain.psi)
         np.testing.assert_array_equal(inst_none.phi, plain.phi)
         assert inst_none.masks == (None,)
-        assert inst_none.fixed == (None,)
 
     def test_soft_mode_attaches_interval_mask(self):
         rng = np.random.default_rng(1)
@@ -157,7 +156,6 @@ class TestAssemble:
             supervised=True,
         )
         inst = assemble([tagged], lam=0.1, sigma=2.0, mode="soft")
-        assert inst.fixed == (None,)
         expect = np.zeros((3, 6), dtype=bool)
         expect[1, [0, 1, 4, 5]] = True
         np.testing.assert_array_equal(inst.masks[0].forbidden, expect)
@@ -176,9 +174,9 @@ class TestAssemble:
         )
         inst = assemble([tagged], lam=0.1, sigma=2.0, mode="hard")
         expect = annotation_to_path(ann, 3, 5, base.background)
-        np.testing.assert_array_equal(inst.fixed[0].assignment, expect.assignment)
         survivors = enumerate_paths(5, 3, inst.masks[0])
         assert len(survivors) == 1
+        np.testing.assert_array_equal(survivors[0].assignment, expect.assignment)
 
     def test_kappa_scales_supervised_blocks_only(self):
         rng = np.random.default_rng(3)
