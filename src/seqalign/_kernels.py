@@ -1,25 +1,20 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""Hot numeric kernels: the dynamic program over the monotone alignment lattice.
 
-The dynamic program over the monotone alignment lattice is the only loop
-that dominates runtime at scale.  Set ``SEQALIGN_DISABLE_NUMBA=1`` to force
-the numpy implementation (useful for debugging and for the benchmark in
-``benchmarks/bench_lmo.py``).
+The DP is the only loop that dominates runtime at scale.  It runs as
+compiled loops when numba imports and as the row-vectorized numpy
+implementation otherwise; both are exact and return identical paths.
+``_dp_align_numpy`` also stays importable as the reference the tests
+compare the compiled kernel against.
 """
-
-import os
 
 import numpy as np
 
-_DISABLE = os.environ.get("SEQALIGN_DISABLE_NUMBA", "0").lower() in ("1", "true", "yes")
+try:
+    from numba import njit
 
-HAVE_NUMBA = False
-if not _DISABLE:
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:
-        pass
+    HAVE_NUMBA = True
+except ImportError:
+    HAVE_NUMBA = False
 
 
 def _dp_align_numpy(cost):
@@ -76,7 +71,6 @@ def _dp_align_loops(cost):
 
 
 if HAVE_NUMBA:
-    _dp_align_numba = njit(cache=True)(_dp_align_loops)
-    dp_align = _dp_align_numba
+    dp_align = njit(cache=True)(_dp_align_loops)
 else:
     dp_align = _dp_align_numpy

@@ -5,6 +5,8 @@ import sys
 
 from . import pipeline
 from .data import read_manifest
+from .rounding import ROUNDINGS
+from .supervision import SUPERVISION_MODES
 
 
 def _add_manifest_flags(p):
@@ -33,8 +35,8 @@ def build_parser():
 
     p = sub.add_parser("align", help="solve a manifest and write predictions")
     _add_manifest_flags(p)
-    p.add_argument("--rounding", choices=["nearest", "feature", "model"])
-    p.add_argument("--supervision", choices=["none", "soft", "hard"])
+    p.add_argument("--rounding", choices=ROUNDINGS)
+    p.add_argument("--supervision", choices=SUPERVISION_MODES)
     p.add_argument("--gap-tol", type=float, dest="gap_tol")
     p.add_argument("--max-iter", type=int, dest="max_iter")
 
@@ -43,7 +45,7 @@ def build_parser():
 
     p = sub.add_parser("sweep", help="grid search with align+eval per seed")
     _add_manifest_flags(p)
-    p.add_argument("--param", required=True, choices=["sigma", "alpha-beta", "kappa"])
+    p.add_argument("--param", required=True, choices=list(pipeline.SWEEP_PARAMS))
     p.add_argument(
         "--values",
         required=True,

@@ -45,20 +45,15 @@ def augment_affine(phi):
 def compute_q(phi, lam):
     """Build the (I, I) kernel Q of the reduced assignment cost.
 
-    Uses the direct formula for D <= I, and the algebraically equal form
-    Q = I*lam * (phi^T phi + I*lam*Id_I)^{-1} when D > I.
+    The (D, D) Gram matrix phi phi^T + I*lam*Id_D is positive definite for
+    lam > 0, so its Cholesky solve serves every D, including D > I.
     """
     phi = _check_features(phi, "phi")
     if lam <= 0:
         raise ValueError("lam must be positive")
     D, I = phi.shape
-    ridge = I * lam
-    if D <= I:
-        gram = phi @ phi.T + ridge * np.eye(D)
-        q = np.eye(I) - phi.T @ cho_solve(cho_factor(gram), phi)
-    else:
-        gram = phi.T @ phi + ridge * np.eye(I)
-        q = ridge * cho_solve(cho_factor(gram), np.eye(I))
+    gram = phi @ phi.T + I * lam * np.eye(D)
+    q = np.eye(I) - phi.T @ cho_solve(cho_factor(gram), phi)
     q = 0.5 * (q + q.T)
     return CostKernel(q_matrix=q, i_total=I, lam=float(lam))
 

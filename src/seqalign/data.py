@@ -8,11 +8,13 @@ with a fixed seed produce bit-identical files.
 
 import json
 from dataclasses import dataclass, field
+from numbers import Integral, Real
 from pathlib import Path
 
 import numpy as np
 
-from .supervision import Annotation
+from .rounding import ROUNDINGS
+from .supervision import SUPERVISION_MODES, Annotation
 
 ANNOTATION_HEADER = "j,i_start,i_end"
 PREDICTION_HEADER = "i,j"
@@ -215,9 +217,64 @@ DEFAULT_HYPERPARAMETERS = {
 }
 
 
+def _is_integer(v):
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
+def _is_number(v):
+    return isinstance(v, Real) and not isinstance(v, bool)
+
+
+def check_hyperparameters(hp):
+    """Raise ValueError for a hyperparameter whose value has the wrong type.
+
+    Ranges (sigma > 0, beta in [0, 1], ...) are checked where each value
+    is used.
+    """
+    for key in ("lambda", "sigma", "alpha", "beta", "kappa", "gap_tol"):
+        if not _is_number(hp[key]):
+            raise ValueError(f"hyperparameter {key!r} must be a number, got {hp[key]!r}")
+    for key in ("mu", "mu_background"):
+        if hp[key] is not None and not _is_number(hp[key]):
+            raise ValueError(f"hyperparameter {key!r} must be a number or null, got {hp[key]!r}")
+    if not _is_integer(hp["max_iter"]) or hp["max_iter"] < 0:
+        raise ValueError(
+            f"hyperparameter 'max_iter' must be a non-negative integer, got {hp['max_iter']!r}"
+        )
+    for key, allowed in (("rounding", ROUNDINGS), ("supervision", SUPERVISION_MODES)):
+        if hp[key] not in allowed:
+            raise ValueError(f"hyperparameter {key!r} must be one of {allowed}, got {hp[key]!r}")
+
+
+_SYNTH_INTEGERS = ("n_streams", "sentences", "intervals", "text_dim", "video_dim", "seed")
+_SYNTH_NUMBERS = ("supervised_fraction", "noise", "concentration")
+
+
+def check_synth(synth):
+    """Raise ValueError unless synth is a "synth" section as run_synth writes it."""
+    if not isinstance(synth, dict):
+        raise ValueError(f"the manifest's 'synth' section must be an object, got {synth!r}")
+    expected = set(_SYNTH_INTEGERS + _SYNTH_NUMBERS)
+    missing, unknown = expected - synth.keys(), synth.keys() - expected
+    if missing:
+        raise ValueError(f"'synth' lacks {sorted(missing)}")
+    if unknown:
+        raise ValueError(f"'synth' has unknown keys {sorted(unknown)}")
+    for key in _SYNTH_INTEGERS:
+        if not _is_integer(synth[key]):
+            raise ValueError(f"'synth' {key!r} must be an integer, got {synth[key]!r}")
+    for key in _SYNTH_NUMBERS:
+        if not _is_number(synth[key]):
+            raise ValueError(f"'synth' {key!r} must be a number, got {synth[key]!r}")
+
+
 @dataclass
 class Manifest:
-    """Run description: stream files plus global hyperparameters."""
+    """Run description: stream files plus global hyperparameters.
+
+    Unspecified hyperparameters take DEFAULT_HYPERPARAMETERS; the merged
+    values are checked by check_hyperparameters.
+    """
 
     streams: list
     hyperparameters: dict = field(default_factory=dict)
@@ -227,6 +284,7 @@ class Manifest:
     def __post_init__(self):
         hp = dict(DEFAULT_HYPERPARAMETERS)
         hp.update(self.hyperparameters)
+        check_hyperparameters(hp)
         self.hyperparameters = hp
 
     def resolve(self, rel):

@@ -8,12 +8,12 @@ import numpy as np
 
 from . import data as io
 from .evaluation import jaccard_score
-from .rounding import round_feature, round_model, round_nearest
+from .rounding import ROUNDINGS, round_feature, round_model, round_nearest
 from .solver import solve
 from .supervision import Stream, assemble
 
 
-def load_streams(manifest, supervision="soft"):
+def load_streams(manifest):
     """Read every stream in the manifest and interleave background columns."""
     streams = []
     for rec in manifest.streams:
@@ -40,15 +40,12 @@ def load_streams(manifest, supervision="soft"):
                     psi=psi,
                     background=background,
                     annotation=ann,
-                    supervised=bool(rec.get("supervised", False)) and supervision != "none",
+                    supervised=bool(rec.get("supervised", False)),
                 )
             )
         except ValueError as e:
             raise ValueError(f"stream {sid}: {e}") from None
     return streams
-
-
-_ROUNDERS = ("nearest", "feature", "model")
 
 
 def round_stream(instance, result, n, rounding):
@@ -66,11 +63,14 @@ def round_stream(instance, result, n, rounding):
         return round_feature(y_n, psi_n, mask)
     if rounding == "model":
         return round_model(result.w_star, psi_n, phi_n, mask)
-    raise ValueError(f"unknown rounding {rounding!r}; expected one of {_ROUNDERS}")
+    raise ValueError(f"unknown rounding {rounding!r}; expected one of {ROUNDINGS}")
 
 
-def align_streams(streams, hp, supervision="soft"):
-    """Assemble, solve and round; returns (instance, result, predictions)."""
+def align_streams(streams, hp):
+    """Assemble, solve and round; returns (instance, result, predictions).
+
+    hp holds every hyperparameter, the supervision mode among them.
+    """
     instance = assemble(
         streams,
         lam=hp["lambda"],
@@ -80,7 +80,7 @@ def align_streams(streams, hp, supervision="soft"):
         mu=hp.get("mu"),
         mu_background=hp.get("mu_background"),
         kappa=hp["kappa"],
-        mode=supervision,
+        mode=hp["supervision"],
     )
     result = solve(instance, max_iter=int(hp["max_iter"]), gap_tol=float(hp["gap_tol"]))
     preds = [
@@ -93,16 +93,15 @@ def run_align(manifest, out_dir, overrides=None):
     """The align command: solve a manifest and persist predictions and report."""
     hp = dict(manifest.hyperparameters)
     hp.update({k: v for k, v in (overrides or {}).items() if v is not None})
-    supervision = hp.get("supervision", "soft")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
-    streams = load_streams(manifest, supervision)
+    streams = load_streams(manifest)
     t_load = time.perf_counter() - t0
 
     t0 = time.perf_counter()
-    instance, result, preds = align_streams(streams, hp, supervision)
+    instance, result, preds = align_streams(streams, hp)
     t_solve = time.perf_counter() - t0
 
     for s, p in zip(streams, preds):
@@ -128,7 +127,7 @@ def run_align(manifest, out_dir, overrides=None):
 def run_eval(manifest, out_dir):
     """The eval command: score prediction files against manifest annotations."""
     out_dir = Path(out_dir)
-    streams = load_streams(manifest, supervision="none")
+    streams = load_streams(manifest)
     rows = []
     for s in streams:
         if s.annotation is None:
@@ -192,41 +191,44 @@ def run_synth(out_dir, n_streams=4, supervised_fraction=0.0, hyperparameters=Non
     return manifest
 
 
-_SWEEP_PARAMS = {"sigma": ("sigma",), "alpha-beta": ("alpha", "beta"), "kappa": ("kappa",)}
+SWEEP_PARAMS = {"sigma": ("sigma",), "alpha-beta": ("alpha", "beta"), "kappa": ("kappa",)}
 
 
 def run_sweep(manifest, param, values, seeds, out_dir):
-    """The sweep command: align+eval per grid value per seed on fresh suites."""
-    if param not in _SWEEP_PARAMS:
+    """The sweep command: align+eval per grid value per seed.
+
+    The suite of each seed is synthesised once, from the manifest's synth
+    section, into ``suite_seed_<s>/``; grid value k is aligned and scored
+    on it into ``<param>_<k>/seed_<s>/``.
+    """
+    if param not in SWEEP_PARAMS:
         raise ValueError(f"unknown sweep parameter {param!r}")
     if not values:
         raise ValueError("empty sweep grid")
-    if manifest.synth is None:
-        raise ValueError("sweep requires a manifest with a 'synth' section")
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    keys = _SWEEP_PARAMS[param]
-    synth = dict(manifest.synth)
-    n_streams = synth.pop("n_streams")
-    supervised_fraction = synth.pop("supervised_fraction", 0.0)
-    synth.pop("seed", None)
-
-    rows = []
-    for vi, value in enumerate(values):
-        point = value if isinstance(value, tuple) else (value,)
+    io.check_synth(manifest.synth)
+    keys = SWEEP_PARAMS[param]
+    points = [value if isinstance(value, tuple) else (value,) for value in values]
+    for value, point in zip(values, points):
         if len(point) != len(keys):
             raise ValueError(f"sweep value {value!r} does not match {keys}")
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    synth = {k: v for k, v in manifest.synth.items() if k != "seed"}
+    suites = [
+        run_synth(
+            out_dir / f"suite_seed_{seed}",
+            hyperparameters=manifest.hyperparameters,
+            seed=seed,
+            **synth,
+        )
+        for seed in seeds
+    ]
+
+    rows = []
+    for vi, point in enumerate(points):
         scores = []
-        for seed in seeds:
+        for seed, m in zip(seeds, suites):
             run_dir = out_dir / f"{param}_{vi}" / f"seed_{seed}"
-            m = run_synth(
-                run_dir,
-                n_streams=n_streams,
-                supervised_fraction=supervised_fraction,
-                hyperparameters=manifest.hyperparameters,
-                seed=seed,
-                **synth,
-            )
             run_align(m, run_dir, overrides=dict(zip(keys, point)))
             mean, _ = run_eval(m, run_dir)
             scores.append(mean)

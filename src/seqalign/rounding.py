@@ -10,6 +10,8 @@ import numpy as np
 
 from .polytope import minimize_linear, path_to_matrix
 
+ROUNDINGS = ("nearest", "feature", "model")
+
 
 def round_nearest(y_star, mask=None):
     """Vertex minimizing ||Y - Y*||_F^2 (Frobenius-nearest rounding)."""

@@ -18,13 +18,13 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .core import CostKernel, discriminative_cost, fit_model
+from .evaluation import diagonal_path
 from .polytope import (
     StreamLayout,
     band_indicator,
     blocks_to_matrix,
     lmo_blocks,
     minimize_linear,
-    path_to_matrix,
 )
 from .priors import PriorConfig, band_penalty, duration_penalty
 
@@ -45,11 +45,7 @@ class ProblemInstance:
     kernel: CostKernel
     priors: PriorConfig
     band: np.ndarray  # (J_total, I_total), block-diagonal band indicator
-    masks: tuple = None
-
-    def __post_init__(self):
-        if self.masks is None:
-            object.__setattr__(self, "masks", tuple([None] * self.layout.n_streams))
+    masks: tuple
 
 
 @dataclass
@@ -91,7 +87,7 @@ def gradient(instance, y):
     p = instance.priors
     g = instance.psi.T @ ((instance.psi @ y) @ instance.kernel.q_matrix)
     g /= instance.kernel.i_total
-    d = (y.sum(axis=1) - p.mu_vector(y.shape[0])) / p.sigma**2
+    d = (y.sum(axis=1) - p.mu) / p.sigma**2
     g += d[:, None]
     g += p.alpha * instance.band
     return g
@@ -147,8 +143,7 @@ class _ActiveSet:
         self.h = np.zeros((0, 0))
         self.b = np.zeros(0)
         p = instance.priors
-        self.mu = p.mu_vector(instance.layout.j_total)
-        self.const = float(self.mu @ self.mu) / (2.0 * p.sigma**2)
+        self.const = float(p.mu @ p.mu) / (2.0 * p.sigma**2)
 
     def objective(self, w):
         return float(0.5 * (w @ (self.h @ w)) + self.b @ w + self.const)
@@ -207,7 +202,7 @@ class _ActiveSet:
         d_new = path.durations()
         row[members] += durations @ d_new / sigma2
         j_slice = slice(j0, j0 + layout.j_sizes[n])
-        b_new = -float(self.mu[j_slice] @ d_new) / sigma2
+        b_new = -float(inst.priors.mu[j_slice] @ d_new) / sigma2
         b_new += inst.priors.alpha * _path_sum(layout.block(inst.band, n), path)
 
         size = len(self.paths)
@@ -342,8 +337,6 @@ def _minimize_on_simplices(h, b, stream, n_streams, w):
 
 def _initial_paths(instance):
     """Mask-feasible starting vertex, the uniform diagonal path when allowed."""
-    from .evaluation import diagonal_path
-
     layout = instance.layout
     paths = []
     for n in range(layout.n_streams):
@@ -361,11 +354,11 @@ def _initial_paths(instance):
     return paths
 
 
-def solve(instance, max_iter=2000, gap_tol=1e-6, init=None):
+def solve(instance, max_iter=2000, gap_tol=1e-6):
     """Run fully-corrective Frank-Wolfe until the duality gap closes.
 
-    init may be a list of per-stream AlignmentPath; defaults to the
-    diagonal path (or the nearest mask-feasible vertex).  Iterate t has one
+    It starts from the diagonal path of each stream, or the nearest
+    mask-feasible vertex where the mask forbids it.  Iterate t has one
     entry in each trace: its objective and its gap certificate
     <grad, Y_t - V_t>, which bounds its distance to the relaxed optimum.
     The objective trace is non-increasing.  The solve stops at the first
@@ -383,7 +376,7 @@ def solve(instance, max_iter=2000, gap_tol=1e-6, init=None):
     the first iteration.
     """
     layout = instance.layout
-    paths = init if init is not None else _initial_paths(instance)
+    paths = _initial_paths(instance)
     active = _ActiveSet(instance)
     for n, p in enumerate(paths):
         active.index(n, p)

@@ -7,7 +7,7 @@ interval), and supervised streams' features are scaled by kappa so their
 squared loss is weighted by kappa^2.
 """
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,6 +15,8 @@ from .core import augment_affine, compute_q
 from .polytope import CellMask, InfeasibleError, StreamLayout, is_feasible, minimize_linear
 from .priors import PriorConfig
 from .solver import ProblemInstance, block_band
+
+SUPERVISION_MODES = ("none", "soft", "hard")
 
 
 @dataclass(frozen=True)
@@ -118,7 +120,12 @@ def resolve_mu(layout, backgrounds, mu=None, mu_background=None):
     Default: I_n / J_n for every row of stream n.  A scalar mu applies to
     all rows.  mu_background sets background rows explicitly; sentence
     rows then share the remaining mass (I_n - B_n * mu_background) / S_n.
+    The two are exclusive: mu with mu_background set raises ValueError.
     """
+    if mu is not None and mu_background is not None:
+        raise ValueError(
+            "mu and mu_background are exclusive; set mu_background to null to use mu"
+        )
     out = np.empty(layout.j_total)
     for n in range(layout.n_streams):
         I, J = layout.i_sizes[n], layout.j_sizes[n]
@@ -162,7 +169,7 @@ def assemble(
     """
     if kappa < 0:
         raise ValueError("kappa must be non-negative")
-    if mode not in ("none", "soft", "hard"):
+    if mode not in SUPERVISION_MODES:
         raise ValueError(f"unknown supervision mode {mode!r}")
     if not streams:
         raise ValueError("at least one stream is required")
@@ -201,7 +208,6 @@ def assemble(
         mu=resolve_mu(layout, [s.background for s in streams], mu, mu_background),
         sigma=sigma,
         alpha=alpha,
-        beta=beta,
     )
     return ProblemInstance(
         psi=psi_all,

@@ -213,9 +213,9 @@ def _suite_scores(tmpdir, seed, noise, supervised_fraction=0.0, supervision="sof
         noise=noise,
         seed=seed,
     )
-    streams = pipeline.load_streams(manifest, supervision)
+    streams = pipeline.load_streams(manifest)
     _, _, preds = pipeline.align_streams(
-        streams, manifest.hyperparameters, supervision
+        streams, {**manifest.hyperparameters, "supervision": supervision}
     )
     return streams, preds
 

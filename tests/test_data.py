@@ -283,6 +283,20 @@ class TestManifest:
         assert m.hyperparameters["lambda"] == 0.01
         assert m.hyperparameters["rounding"] == "model"
 
+    @pytest.mark.parametrize(
+        "hp",
+        [{"lambda": None}, {"sigma": "x"}, {"alpha": True}, {"max_iter": 2.5},
+         {"max_iter": -1}, {"mu": [2.0]}, {"mu_background": "1"}, {"rounding": "best"},
+         {"supervision": None}],
+    )
+    def test_bad_hyperparameter_values_rejected(self, tmp_path, hp):
+        with pytest.raises(ValueError, match="hyperparameter"):
+            Manifest(streams=[], hyperparameters=hp)
+        # run_synth builds its manifest the same way, so it rejects them too.
+        with pytest.raises(ValueError, match="hyperparameter"):
+            pipeline.run_synth(tmp_path, n_streams=1, sentences=2, intervals=6,
+                               hyperparameters=hp)
+
     def test_round_trip(self, tmp_path):
         m = Manifest(
             streams=[{"id": "s", "phi_path": "s.phi.csv", "psi_path": "s.psi.csv"}],
@@ -324,7 +338,7 @@ class TestPipeline:
             noise=0.0,
             seed=6,
         )
-        streams = pipeline.load_streams(manifest, supervision="none")
+        streams = pipeline.load_streams(manifest)
         maps = []
         for s in streams:
             # Annotated intervals tile every column; label each with its sentence.
@@ -355,9 +369,9 @@ class TestPipeline:
             intervals=8,
             seed=7,
         )
-        streams = pipeline.load_streams(manifest, supervision="hard")
+        streams = pipeline.load_streams(manifest)
         _, _, preds = pipeline.align_streams(
-            streams, manifest.hyperparameters, supervision="hard"
+            streams, {**manifest.hyperparameters, "supervision": "hard"}
         )
         s = streams[0]
         expect = annotation_to_path(s.annotation, s.j_count, s.i_count, s.background)
@@ -450,6 +464,52 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("ValueError: ")
 
+    @pytest.mark.parametrize(
+        "command, edit",
+        [
+            ("align", {"lambda": None}),
+            ("align", {"sigma": "x"}),
+            ("align", {"max_iter": None}),
+            ("align", {"max_iter": 2.5}),
+            ("align", {"kappa": [1]}),
+            ("align", {"beta": True}),
+            ("align", {"mu": "2"}),
+            ("align", {"rounding": "best"}),
+            ("align", {"supervision": "all"}),
+            ("align", {"mu": 2.0}),
+            ("sweep", 3),
+            ("sweep", {"n_streams": 1}),
+            ("sweep", "unknown-key"),
+            ("sweep", "string-size"),
+        ],
+        ids=["null-lambda", "string-sigma", "null-max-iter", "fractional-max-iter",
+             "list-kappa", "bool-beta", "string-mu", "unknown-rounding",
+             "unknown-supervision", "mu-with-mu-background", "int-synth",
+             "synth-missing-keys", "synth-unknown-key", "synth-string-size"],
+    )
+    def test_malformed_manifest_values_exit_1(self, tmp_path, capsys, command, edit):
+        # align edits the hyperparameters of a 1-stream suite, sweep its synth section.
+        suite = tmp_path / "suite"
+        pipeline.run_synth(suite, n_streams=1, sentences=2, intervals=6, seed=1)
+        path = suite / "manifest.json"
+        raw = json.loads(path.read_text())
+        if command == "align":
+            raw["hyperparameters"].update(edit)
+        elif edit == "unknown-key":
+            raw["synth"]["seeds"] = 3
+        elif edit == "string-size":
+            raw["synth"]["sentences"] = "2"
+        else:
+            raw["synth"] = edit
+        path.write_text(json.dumps(raw))
+        argv = [command, "--manifest", str(path), "--out-dir", str(tmp_path / "out")]
+        if command == "sweep":
+            argv += ["--param", "sigma", "--values", "2"]
+        code = cli.main(argv)
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ValueError: ")
+
     def test_sweep_smoke(self, tmp_path, capsys):
         suite = tmp_path / "suite"
         cli.main(
@@ -487,6 +547,14 @@ class TestCli:
         lines = (out_dir / "sweep.csv").read_text().splitlines()
         assert lines[0] == "sigma,mean_jaccard,stderr,n_seeds"
         assert len(lines) == 3
+        # One suite per seed, shared by every grid value.
+        assert sorted(p.parent.name for p in out_dir.rglob("manifest.json")) == [
+            "suite_seed_0",
+            "suite_seed_1",
+        ]
+        for k in range(2):
+            for seed in (0, 1):
+                assert (out_dir / f"sigma_{k}" / f"seed_{seed}" / "scores.csv").exists()
 
     def test_align_is_bit_deterministic(self, tmp_path):
         suite = tmp_path / "suite"

@@ -8,19 +8,19 @@ from seqalign.priors import PriorConfig, band_penalty, duration_penalty
 class TestDurationPenalty:
     def test_exact_durations_cost_nothing(self):
         y = path_to_matrix(AlignmentPath(np.array([0, 0, 1, 1]), j_count=2))
-        cfg = PriorConfig(mu=2.0, sigma=1.0)
+        cfg = PriorConfig(mu=np.full(2, 2.0), sigma=1.0)
         assert duration_penalty(y, cfg) == 0.0
 
     def test_hand_computed_value(self):
         # Durations (2, 1) against mu=1.5: 2 * 0.25 / 2 = 0.25.
         y = path_to_matrix(AlignmentPath(np.array([0, 0, 1]), j_count=2))
-        cfg = PriorConfig(mu=1.5, sigma=1.0)
+        cfg = PriorConfig(mu=np.full(2, 1.5), sigma=1.0)
         assert duration_penalty(y, cfg) == pytest.approx(0.25)
 
     def test_huge_sigma_switches_prior_off(self):
         rng = np.random.default_rng(0)
         y = rng.random((3, 7))
-        cfg = PriorConfig(mu=2.0, sigma=1e9)
+        cfg = PriorConfig(mu=np.full(3, 2.0), sigma=1e9)
         assert duration_penalty(y, cfg) <= 1e-12
 
     def test_vector_mu(self):
@@ -30,11 +30,16 @@ class TestDurationPenalty:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            PriorConfig(mu=1.0, sigma=0.0)
+            PriorConfig(mu=np.ones(2), sigma=0.0)
         with pytest.raises(ValueError):
-            PriorConfig(mu=-1.0, sigma=1.0)
+            PriorConfig(mu=np.array([1.0, -1.0]), sigma=1.0)
         with pytest.raises(ValueError):
-            PriorConfig(mu=1.0, sigma=1.0, alpha=-0.1)
+            PriorConfig(mu=np.ones(2), sigma=1.0, alpha=-0.1)
+        with pytest.raises(ValueError):
+            PriorConfig(mu=1.0, sigma=1.0)  # mu is a per-row vector, never a scalar
+        y = path_to_matrix(AlignmentPath(np.array([0, 0, 1]), j_count=2))
+        with pytest.raises(ValueError):
+            duration_penalty(y, PriorConfig(mu=np.ones(3), sigma=1.0))
 
 
 class TestBandPenalty:
@@ -60,7 +65,7 @@ class TestBandPenalty:
     def test_non_negative_and_convex_along_segments(self):
         rng = np.random.default_rng(4)
         band = band_indicator(3, 6, beta=0.1)
-        cfg = PriorConfig(mu=2.0, sigma=1.5)
+        cfg = PriorConfig(mu=np.full(3, 2.0), sigma=1.5)
         for _ in range(20):
             a, b = rng.random((2, 3, 6))
             mid = 0.5 * (a + b)

@@ -96,7 +96,7 @@ class TestGradient:
             band=inst.band,
             masks=inst.masks,
         )
-        mu = inst.priors.mu_vector(inst.layout.j_total)
+        mu = inst.priors.mu
         y = np.tile((mu / inst.layout.i_total)[:, None], (1, inst.layout.i_total))
         np.testing.assert_allclose(gradient(inst, y), 0.0, atol=1e-12)
 
@@ -255,7 +255,7 @@ class TestSolve:
         )
         hp = manifest.hyperparameters
         inst = assemble(
-            pipeline.load_streams(manifest, "soft"),
+            pipeline.load_streams(manifest),
             lam=hp["lambda"],
             sigma=hp["sigma"],
             alpha=hp["alpha"],

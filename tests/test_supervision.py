@@ -119,6 +119,12 @@ class TestResolveMu:
         # Two background rows take 1 each; the sentence row gets the rest.
         np.testing.assert_allclose(mu, [1.0, 8.0, 1.0])
 
+    def test_mu_with_mu_background_rejected(self):
+        # mu_background would silently override mu on every row.
+        layout = self._layout([10], [3])
+        with pytest.raises(ValueError, match="mu_background to null"):
+            resolve_mu(layout, [frozenset({0, 2})], mu=2.0, mu_background=1.0)
+
     def test_background_exhausting_mass_rejected(self):
         layout = self._layout([4], [3])
         with pytest.raises(ValueError):
@@ -235,5 +241,5 @@ class TestAssemble:
         assert inst.layout.i_sizes == (6, 8)
         assert inst.layout.j_sizes == (3, 5)
         np.testing.assert_allclose(
-            inst.priors.mu_vector(8), [2.0, 2.0, 2.0, 1.6, 1.6, 1.6, 1.6, 1.6]
+            inst.priors.mu, [2.0, 2.0, 2.0, 1.6, 1.6, 1.6, 1.6, 1.6]
         )
