@@ -13,7 +13,6 @@ from .core import (
     compute_q,
     discriminative_cost,
     fit_model,
-    ridge_residual,
 )
 from .evaluation import diagonal_path, jaccard_score, random_path
 from .polytope import (
@@ -23,11 +22,8 @@ from .polytope import (
     StreamLayout,
     band_indicator,
     blocks_to_matrix,
-    enumerate_paths,
     lmo_blocks,
-    matrix_to_path,
     minimize_linear,
-    path_to_matrix,
 )
 from .priors import PriorConfig, band_penalty, duration_penalty
 from .rounding import round_feature, round_model, round_nearest

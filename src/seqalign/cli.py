@@ -21,17 +21,20 @@ def build_parser():
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("synth", help="generate a synthetic stream suite")
+    # A flag left out is absent from the namespace, so data.SynthConfig's default holds.
+    p = sub.add_parser(
+        "synth", help="generate a synthetic stream suite", argument_default=argparse.SUPPRESS
+    )
     p.add_argument("--out-dir", required=True)
-    p.add_argument("--streams", type=int, default=4)
-    p.add_argument("--sentences", type=int, default=5)
-    p.add_argument("--intervals", type=int, default=60)
-    p.add_argument("--text-dim", type=int, default=8)
-    p.add_argument("--video-dim", type=int, default=8)
-    p.add_argument("--noise", type=float, default=0.1)
-    p.add_argument("--concentration", type=float, default=5.0)
-    p.add_argument("--supervised-fraction", type=float, default=0.0)
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--streams", type=int, dest="n_streams")
+    p.add_argument("--sentences", type=int)
+    p.add_argument("--intervals", type=int)
+    p.add_argument("--text-dim", type=int)
+    p.add_argument("--video-dim", type=int)
+    p.add_argument("--noise", type=float)
+    p.add_argument("--concentration", type=float)
+    p.add_argument("--supervised-fraction", type=float)
+    p.add_argument("--seed", type=int)
 
     p = sub.add_parser("align", help="solve a manifest and write predictions")
     _add_manifest_flags(p)
@@ -74,18 +77,8 @@ def main(argv=None):
     args = build_parser().parse_args(argv)
     try:
         if args.command == "synth":
-            manifest = pipeline.run_synth(
-                args.out_dir,
-                n_streams=args.streams,
-                supervised_fraction=args.supervised_fraction,
-                sentences=args.sentences,
-                intervals=args.intervals,
-                text_dim=args.text_dim,
-                video_dim=args.video_dim,
-                noise=args.noise,
-                concentration=args.concentration,
-                seed=args.seed,
-            )
+            cfg = {k: v for k, v in vars(args).items() if k not in ("command", "out_dir")}
+            manifest = pipeline.run_synth(args.out_dir, **cfg)
             print(f"wrote {len(manifest.streams)} streams to {args.out_dir}")
         elif args.command == "align":
             manifest = read_manifest(args.manifest)

@@ -20,11 +20,10 @@ from scipy.linalg import cho_factor, cho_solve
 
 @dataclass(frozen=True)
 class CostKernel:
-    """Reduced quadratic cost kernel Q with its problem constants."""
+    """Reduced quadratic cost kernel Q and the Cholesky factor of its Gram matrix."""
 
     q_matrix: np.ndarray  # (I, I) symmetric, eigenvalues in (0, 1]
-    i_total: int
-    lam: float
+    gram_factor: tuple  # cho_factor of phi phi^T + I*lam*Id_D
 
 
 def _check_features(m, name):
@@ -52,14 +51,17 @@ def compute_q(phi, lam):
     if lam <= 0:
         raise ValueError("lam must be positive")
     D, I = phi.shape
-    gram = phi @ phi.T + I * lam * np.eye(D)
-    q = np.eye(I) - phi.T @ cho_solve(cho_factor(gram), phi)
+    gram_factor = cho_factor(phi @ phi.T + I * lam * np.eye(D))
+    q = np.eye(I) - phi.T @ cho_solve(gram_factor, phi)
     q = 0.5 * (q + q.T)
-    return CostKernel(q_matrix=q, i_total=I, lam=float(lam))
+    return CostKernel(q_matrix=q, gram_factor=gram_factor)
 
 
-def fit_model(psi, y, phi, lam):
-    """Closed-form ridge minimizer W* = psi Y phi^T (phi phi^T + I*lam*Id)^{-1}."""
+def fit_model(psi, y, phi, kernel):
+    """Closed-form ridge minimizer W* = psi Y phi^T (phi phi^T + I*lam*Id)^{-1}.
+
+    kernel is compute_q(phi, lam); its Gram factor serves the solve.
+    """
     psi = _check_features(psi, "psi")
     phi = _check_features(phi, "phi")
     y = np.asarray(y, dtype=np.float64)
@@ -67,36 +69,18 @@ def fit_model(psi, y, phi, lam):
         raise ValueError(
             f"shape mismatch: psi {psi.shape}, y {y.shape}, phi {phi.shape}"
         )
-    D, I = phi.shape
-    gram = phi @ phi.T + I * lam * np.eye(D)
+    if kernel.gram_factor[0].shape[0] != phi.shape[0]:
+        raise ValueError("kernel was built for features of another dimension")
     rhs = phi @ (psi @ y).T  # (D, E)
-    return cho_solve(cho_factor(gram), rhs).T
+    return cho_solve(kernel.gram_factor, rhs).T
 
 
 def discriminative_cost(psi, y, kernel):
     """Reduced cost q(Y) = (1 / 2I) Tr(psi Y Q Y^T psi^T); non-negative."""
     psi = np.asarray(psi, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
-    if psi.shape[1] != y.shape[0] or y.shape[1] != kernel.i_total:
+    i_total = kernel.q_matrix.shape[0]
+    if psi.shape[1] != y.shape[0] or y.shape[1] != i_total:
         raise ValueError("shape mismatch between psi, y and kernel")
     py = psi @ y
-    return float(np.sum((py @ kernel.q_matrix) * py) / (2.0 * kernel.i_total))
-
-
-def ridge_residual(psi, y, phi, w, lam):
-    """Joint objective (1/2I)||psi Y - W phi||_F^2 + (lam/2)||W||_F^2.
-
-    Independent of the reduced form; evaluating it at fit_model's W* must
-    reproduce discriminative_cost.
-    """
-    psi = np.asarray(psi, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    phi = np.asarray(phi, dtype=np.float64)
-    w = np.asarray(w, dtype=np.float64)
-    if psi.shape[1] != y.shape[0] or y.shape[1] != phi.shape[1]:
-        raise ValueError("shape mismatch between psi, y and phi")
-    if w.shape != (psi.shape[0], phi.shape[0]):
-        raise ValueError("w has wrong shape")
-    I = phi.shape[1]
-    resid = psi @ y - w @ phi
-    return float(np.sum(resid * resid) / (2.0 * I) + 0.5 * lam * np.sum(w * w))
+    return float(np.sum((py @ kernel.q_matrix) * py) / (2.0 * i_total))

@@ -7,7 +7,8 @@ with a fixed seed produce bit-identical files.
 """
 
 import json
-from dataclasses import dataclass, field
+import math
+from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 from pathlib import Path
 
@@ -128,10 +129,23 @@ def interleave_background(psi_raw):
     return psi, frozenset(range(0, 2 * K + 1, 2))
 
 
+def _is_integer(v):
+    return isinstance(v, Integral) and not isinstance(v, bool)
+
+
+def _is_number(v):
+    return isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v)
+
+
 @dataclass(frozen=True)
 class SynthConfig:
-    """Generator settings for one synthetic (video, text) stream."""
+    """Generator settings of a synthetic suite and of each of its streams.
 
+    A manifest's "synth" section is this record as a dict, in this order.
+    """
+
+    n_streams: int = 4
+    supervised_fraction: float = 0.0
     sentences: int = 5
     intervals: int = 60
     text_dim: int = 8
@@ -141,6 +155,16 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.type is int and not _is_integer(v):
+                raise ValueError(f"synth {f.name!r} must be an integer, got {v!r}")
+            if f.type is float and not _is_number(v):
+                raise ValueError(f"synth {f.name!r} must be a finite number, got {v!r}")
+        if self.n_streams < 1:
+            raise ValueError("n_streams must be at least 1")
+        if not 0.0 <= self.supervised_fraction <= 1.0:
+            raise ValueError("supervised_fraction must lie in [0, 1]")
         if min(self.sentences, self.intervals, self.text_dim, self.video_dim) < 1:
             raise ValueError("all sizes must be positive")
         if self.sentences > self.intervals:
@@ -217,26 +241,23 @@ DEFAULT_HYPERPARAMETERS = {
 }
 
 
-def _is_integer(v):
-    return isinstance(v, Integral) and not isinstance(v, bool)
-
-
-def _is_number(v):
-    return isinstance(v, Real) and not isinstance(v, bool)
-
-
 def check_hyperparameters(hp):
-    """Raise ValueError for a hyperparameter whose value has the wrong type.
+    """Raise ValueError for an unknown hyperparameter or one whose value has the wrong type.
 
-    Ranges (sigma > 0, beta in [0, 1], ...) are checked where each value
-    is used.
+    Numbers must be finite.  Ranges (sigma > 0, beta in [0, 1], ...) are
+    checked where each value is used.
     """
+    unknown = hp.keys() - DEFAULT_HYPERPARAMETERS.keys()
+    if unknown:
+        raise ValueError(f"unknown hyperparameters {sorted(unknown)}")
     for key in ("lambda", "sigma", "alpha", "beta", "kappa", "gap_tol"):
         if not _is_number(hp[key]):
-            raise ValueError(f"hyperparameter {key!r} must be a number, got {hp[key]!r}")
+            raise ValueError(f"hyperparameter {key!r} must be a finite number, got {hp[key]!r}")
     for key in ("mu", "mu_background"):
         if hp[key] is not None and not _is_number(hp[key]):
-            raise ValueError(f"hyperparameter {key!r} must be a number or null, got {hp[key]!r}")
+            raise ValueError(
+                f"hyperparameter {key!r} must be a finite number or null, got {hp[key]!r}"
+            )
     if not _is_integer(hp["max_iter"]) or hp["max_iter"] < 0:
         raise ValueError(
             f"hyperparameter 'max_iter' must be a non-negative integer, got {hp['max_iter']!r}"
@@ -246,26 +267,20 @@ def check_hyperparameters(hp):
             raise ValueError(f"hyperparameter {key!r} must be one of {allowed}, got {hp[key]!r}")
 
 
-_SYNTH_INTEGERS = ("n_streams", "sentences", "intervals", "text_dim", "video_dim", "seed")
-_SYNTH_NUMBERS = ("supervised_fraction", "noise", "concentration")
-
-
 def check_synth(synth):
-    """Raise ValueError unless synth is a "synth" section as run_synth writes it."""
+    """The SynthConfig of a manifest's "synth" section.
+
+    Raises ValueError unless the section is one run_synth could have written.
+    """
     if not isinstance(synth, dict):
         raise ValueError(f"the manifest's 'synth' section must be an object, got {synth!r}")
-    expected = set(_SYNTH_INTEGERS + _SYNTH_NUMBERS)
+    expected = {f.name for f in fields(SynthConfig)}
     missing, unknown = expected - synth.keys(), synth.keys() - expected
     if missing:
         raise ValueError(f"'synth' lacks {sorted(missing)}")
     if unknown:
         raise ValueError(f"'synth' has unknown keys {sorted(unknown)}")
-    for key in _SYNTH_INTEGERS:
-        if not _is_integer(synth[key]):
-            raise ValueError(f"'synth' {key!r} must be an integer, got {synth[key]!r}")
-    for key in _SYNTH_NUMBERS:
-        if not _is_number(synth[key]):
-            raise ValueError(f"'synth' {key!r} must be a number, got {synth[key]!r}")
+    return SynthConfig(**synth)
 
 
 @dataclass

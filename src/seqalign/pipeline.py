@@ -2,6 +2,7 @@
 
 import json
 import time
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -93,6 +94,7 @@ def run_align(manifest, out_dir, overrides=None):
     """The align command: solve a manifest and persist predictions and report."""
     hp = dict(manifest.hyperparameters)
     hp.update({k: v for k, v in (overrides or {}).items() if v is not None})
+    io.check_hyperparameters(hp)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -145,21 +147,23 @@ def run_eval(manifest, out_dir):
     return mean, rows
 
 
-def run_synth(out_dir, n_streams=4, supervised_fraction=0.0, hyperparameters=None, **cfg):
-    """The synth command: generate a suite of streams plus its manifest."""
+def run_synth(out_dir, hyperparameters=None, **cfg):
+    """The synth command: generate a suite of streams plus its manifest.
+
+    cfg holds the io.SynthConfig fields to set; the others keep its defaults.
+    """
+    config = io.SynthConfig(**cfg)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    seed = int(cfg.get("seed", 0))
-    base = io.SynthConfig(**cfg)
-    ss = np.random.SeedSequence(seed)
+    ss = np.random.SeedSequence(config.seed)
     # One linear map for the whole suite: streams share the ground-truth model.
     master = np.random.default_rng(ss)
-    a_map = master.standard_normal((base.video_dim, base.text_dim)) / np.sqrt(base.text_dim)
-    children = ss.spawn(n_streams)
-    n_sup = int(round(supervised_fraction * n_streams))
+    a_map = master.standard_normal((config.video_dim, config.text_dim)) / np.sqrt(config.text_dim)
+    children = ss.spawn(config.n_streams)
+    n_sup = int(round(config.supervised_fraction * config.n_streams))
     records = []
-    for n in range(n_streams):
-        s = io.synthesize(base, rng=np.random.default_rng(children[n]), a_map=a_map)
+    for n in range(config.n_streams):
+        s = io.synthesize(config, rng=np.random.default_rng(children[n]), a_map=a_map)
         sid = f"stream_{n:02d}"
         io.write_matrix(out_dir / f"{sid}.phi.csv", s.phi)
         io.write_matrix(out_dir / f"{sid}.psi.csv", s.psi_raw)
@@ -174,18 +178,9 @@ def run_synth(out_dir, n_streams=4, supervised_fraction=0.0, hyperparameters=Non
             }
         )
     hp = dict(hyperparameters or {})
-    hp.setdefault("seed", seed)
+    hp.setdefault("seed", config.seed)
     manifest = io.Manifest(
-        streams=records,
-        hyperparameters=hp,
-        synth={
-            "n_streams": n_streams,
-            "supervised_fraction": supervised_fraction,
-            **{k: getattr(base, k) for k in
-               ("sentences", "intervals", "text_dim", "video_dim", "noise", "concentration")},
-            "seed": seed,
-        },
-        base_dir=out_dir,
+        streams=records, hyperparameters=hp, synth=asdict(config), base_dir=out_dir
     )
     io.write_manifest(out_dir / "manifest.json", manifest)
     return manifest
@@ -205,7 +200,9 @@ def run_sweep(manifest, param, values, seeds, out_dir):
         raise ValueError(f"unknown sweep parameter {param!r}")
     if not values:
         raise ValueError("empty sweep grid")
-    io.check_synth(manifest.synth)
+    if not seeds:
+        raise ValueError("empty seed list")
+    synth = asdict(io.check_synth(manifest.synth))
     keys = SWEEP_PARAMS[param]
     points = [value if isinstance(value, tuple) else (value,) for value in values]
     for value, point in zip(values, points):
@@ -213,13 +210,11 @@ def run_sweep(manifest, param, values, seeds, out_dir):
             raise ValueError(f"sweep value {value!r} does not match {keys}")
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    synth = {k: v for k, v in manifest.synth.items() if k != "seed"}
     suites = [
         run_synth(
             out_dir / f"suite_seed_{seed}",
             hyperparameters=manifest.hyperparameters,
-            seed=seed,
-            **synth,
+            **{**synth, "seed": seed},
         )
         for seed in seeds
     ]

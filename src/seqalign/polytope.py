@@ -8,16 +8,10 @@ solver and by every rounding procedure.
 """
 
 from dataclasses import dataclass, field
-from itertools import combinations
-from math import comb
 
 import numpy as np
 
 from ._kernels import dp_align
-
-# Hard caps for exhaustive enumeration (test oracle only).
-ENUM_MAX_I = 14
-ENUM_MAX_J = 7
 
 
 class InfeasibleError(ValueError):
@@ -100,19 +94,6 @@ class StreamLayout:
         return matrix[j0 : j0 + self.j_sizes[n], i0 : i0 + self.i_sizes[n]]
 
 
-def path_to_matrix(path):
-    """Binary (J, I) assignment matrix of a path."""
-    I, J = path.i_count, path.j_count
-    y = np.zeros((J, I))
-    y[path.assignment, np.arange(I)] = 1.0
-    return y
-
-
-def matrix_to_path(y):
-    """Inverse of path_to_matrix for binary vertex matrices (argmax per column)."""
-    return AlignmentPath(np.argmax(y, axis=0), j_count=y.shape[0])
-
-
 def _masked_cost(cost, mask):
     cost = np.ascontiguousarray(cost, dtype=np.float64)
     if not np.all(np.isfinite(cost)):
@@ -150,36 +131,6 @@ def is_feasible(j_count, i_count, mask=None):
         return True
     except InfeasibleError:
         return False
-
-
-def enumerate_paths(i_count, j_count, mask=None):
-    """All alignment paths, C(I-1, J-1) of them when unmasked.
-
-    Brute-force oracle for tests; guarded against combinatorial explosion.
-    """
-    if i_count > ENUM_MAX_I or j_count > ENUM_MAX_J:
-        raise ValueError(
-            f"enumeration guard: I <= {ENUM_MAX_I} and J <= {ENUM_MAX_J} required"
-        )
-    if j_count > i_count:
-        return []
-    forbidden = mask.forbidden if mask is not None else None
-    cols = np.arange(i_count)
-    paths = []
-    # A path is determined by the J-1 columns at which the row advances.
-    for steps in combinations(range(1, i_count), j_count - 1):
-        assignment = np.zeros(i_count, dtype=np.int64)
-        for s in steps:
-            assignment[s:] += 1
-        if forbidden is not None and forbidden[assignment, cols].any():
-            continue
-        paths.append(AlignmentPath(assignment, j_count=j_count))
-    return paths
-
-
-def path_count(i_count, j_count):
-    """Number of unmasked vertices, C(I-1, J-1)."""
-    return comb(i_count - 1, j_count - 1)
 
 
 def band_indicator(j_count, i_count, beta):

@@ -20,8 +20,9 @@ class PriorConfig:
     alpha: float = 0.0
 
     def __post_init__(self):
-        if self.sigma <= 0:
-            raise ValueError("sigma must be positive")
+        # sigma^2 divides: a sigma that is positive but squares to 0 is as bad as 0.
+        if not (self.sigma > 0 and self.sigma**2 > 0):
+            raise ValueError(f"sigma must be positive with a non-zero square, got {self.sigma!r}")
         if self.alpha < 0:
             raise ValueError("alpha must be non-negative")
         mu = np.asarray(self.mu, dtype=np.float64)

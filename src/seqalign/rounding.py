@@ -8,7 +8,7 @@ the polytope, solved by one oracle call.
 
 import numpy as np
 
-from .polytope import minimize_linear, path_to_matrix
+from .polytope import minimize_linear
 
 ROUNDINGS = ("nearest", "feature", "model")
 
@@ -41,18 +41,3 @@ def round_model(w, psi, phi, mask=None):
     cost = np.sum(psi * psi, axis=0)[:, None] - 2.0 * (psi.T @ (w @ phi))
     path, _ = minimize_linear(cost, mask)
     return path
-
-
-def nearest_criterion(path, y_star):
-    y = path_to_matrix(path)
-    return float(np.sum((y - y_star) ** 2))
-
-
-def feature_criterion(path, y_star, psi):
-    y = path_to_matrix(path)
-    return float(np.sum((psi @ (y - y_star)) ** 2))
-
-
-def model_criterion(path, w, psi, phi):
-    y = path_to_matrix(path)
-    return float(np.sum((psi @ y - w @ phi) ** 2))

@@ -55,8 +55,11 @@ class SolveResult:
     objective_trace: list = field(default_factory=list)
     gap_trace: list = field(default_factory=list)
     iterations: int = 0
-    converged: bool = False
     stop_reason: str = ""  # "gap_tol", "stalled" or "max_iter"; see solve
+
+    @property
+    def converged(self):
+        return self.stop_reason == "gap_tol"
 
 
 def block_band(layout, beta):
@@ -86,7 +89,7 @@ def gradient(instance, y):
     y = np.asarray(y, dtype=np.float64)
     p = instance.priors
     g = instance.psi.T @ ((instance.psi @ y) @ instance.kernel.q_matrix)
-    g /= instance.kernel.i_total
+    g /= instance.layout.i_total
     d = (y.sum(axis=1) - p.mu) / p.sigma**2
     g += d[:, None]
     g += p.alpha * instance.band
@@ -111,7 +114,7 @@ def exact_line_search(instance, y, direction, grad=None):
     d = np.asarray(direction, dtype=np.float64)
     slope = float(np.sum(grad * d))
     pd = instance.psi @ d
-    c = float(np.sum((pd @ instance.kernel.q_matrix) * pd)) / instance.kernel.i_total
+    c = float(np.sum((pd @ instance.kernel.q_matrix) * pd)) / instance.layout.i_total
     r = d.sum(axis=1)
     c += float(np.dot(r, r)) / instance.priors.sigma**2
     return _clamped_step(slope, c)
@@ -196,7 +199,7 @@ class _ActiveSet:
             c = inst.psi[:, j0m : j0m + jm].T @ image[:, i0m : i0m + im]
             rows = np.stack([self.paths[k].assignment for k in members])
             row[members] = c[rows, np.arange(im)].sum(axis=1)
-        row /= inst.kernel.i_total
+        row /= layout.i_total
         members = np.flatnonzero(self.stream == n)
         durations = np.stack([self.paths[k].durations() for k in members])
         d_new = path.durations()
@@ -366,7 +369,7 @@ def solve(instance, max_iter=2000, gap_tol=1e-6):
 
     - its gap is at most gap_tol: ``converged`` and stop_reason "gap_tol";
     - t == max_iter, the budget of corrections spent: stop_reason
-      "max_iter", and ``converged`` only if the gap also holds;
+      "max_iter";
     - the correction from it does not lower the objective, which happens
       only when the gap is as small as rounding error lets it be:
       stop_reason "stalled".
@@ -396,7 +399,6 @@ def solve(instance, max_iter=2000, gap_tol=1e-6):
         result.gap_trace.append(gap)
         result.iterations = t
         if gap <= gap_tol:
-            result.converged = True
             result.stop_reason = "gap_tol"
             break
         if t == max_iter:
@@ -414,5 +416,5 @@ def solve(instance, max_iter=2000, gap_tol=1e-6):
         y = active.matrix()
 
     result.y_relaxed = y
-    result.w_star = fit_model(instance.psi, y, instance.phi, instance.kernel.lam)
+    result.w_star = fit_model(instance.psi, y, instance.phi, instance.kernel)
     return result

@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from seqalign import cli, pipeline
-from seqalign.core import compute_q, discriminative_cost, fit_model, ridge_residual
+from seqalign.core import compute_q, discriminative_cost, fit_model
 from seqalign.data import (
     DEFAULT_HYPERPARAMETERS,
     SynthConfig,
@@ -21,19 +21,20 @@ from seqalign.data import (
     synthesize,
 )
 from seqalign.evaluation import diagonal_path, jaccard_score
-from seqalign.polytope import CellMask, enumerate_paths, minimize_linear, path_to_matrix
-from seqalign.rounding import (
-    feature_criterion,
-    model_criterion,
-    nearest_criterion,
-    round_feature,
-    round_model,
-    round_nearest,
-)
+from seqalign.polytope import CellMask, minimize_linear
+from seqalign.rounding import round_feature, round_model, round_nearest
 from seqalign.solver import gradient, objective, solve
 from seqalign.supervision import Stream, assemble
 
 from conftest import make_instance
+from oracles import (
+    enumerate_paths,
+    feature_criterion,
+    model_criterion,
+    nearest_criterion,
+    path_to_matrix,
+    ridge_residual,
+)
 
 
 def _verdict(num, ok, desc):
@@ -120,7 +121,7 @@ def test_criterion_03_reduced_cost_equals_ridge_residual():
         psi = rng.standard_normal((e, j))
         y = rng.random((j, i))
         kernel = compute_q(phi, lam)
-        w = fit_model(psi, y, phi, lam)
+        w = fit_model(psi, y, phi, kernel)
         direct = ridge_residual(psi, y, phi, w, lam)
         reduced = discriminative_cost(psi, y, kernel)
         ok &= abs(reduced - direct) <= 1e-8 * max(abs(direct), 1e-12)

@@ -6,8 +6,9 @@ from seqalign.core import (
     compute_q,
     discriminative_cost,
     fit_model,
-    ridge_residual,
 )
+
+from oracles import ridge_residual
 
 
 def ridge_gradient_descent(psi, y, phi, lam, steps=200000, lr=None):
@@ -81,14 +82,15 @@ class TestComputeQ:
 class TestFitModel:
     def test_zero_psi_gives_zero_model(self):
         y = np.ones((2, 3)) / 2
-        w = fit_model(np.zeros((2, 2)), y, np.ones((2, 3)), lam=0.1)
+        phi = np.ones((2, 3))
+        w = fit_model(np.zeros((2, 2)), y, phi, compute_q(phi, lam=0.1))
         np.testing.assert_allclose(w, 0.0)
 
     def test_self_regression_recovers_identity(self):
         rng = np.random.default_rng(4)
         phi = rng.standard_normal((3, 3))
         # psi @ y == phi with tiny regularization: W tends to the identity.
-        w = fit_model(phi, np.eye(3), phi, lam=1e-12)
+        w = fit_model(phi, np.eye(3), phi, compute_q(phi, lam=1e-12))
         np.testing.assert_allclose(w, np.eye(3), atol=1e-4)
 
     def test_matches_gradient_descent_oracle(self):
@@ -96,13 +98,17 @@ class TestFitModel:
         psi = rng.standard_normal((2, 2))
         phi = rng.standard_normal((3, 4))
         y = rng.random((2, 4))
-        w_closed = fit_model(psi, y, phi, lam=0.2)
+        w_closed = fit_model(psi, y, phi, compute_q(phi, lam=0.2))
         w_iter = ridge_gradient_descent(psi, y, phi, lam=0.2)
         np.testing.assert_allclose(w_closed, w_iter, atol=1e-6)
 
     def test_shape_mismatch(self):
+        phi = np.ones((2, 4))
         with pytest.raises(ValueError):
-            fit_model(np.ones((2, 2)), np.ones((3, 4)), np.ones((2, 4)), lam=0.1)
+            fit_model(np.ones((2, 2)), np.ones((3, 4)), phi, compute_q(phi, lam=0.1))
+        # A kernel built for features of another dimension D.
+        with pytest.raises(ValueError):
+            fit_model(np.ones((2, 2)), np.ones((2, 4)), phi, compute_q(np.ones((3, 4)), lam=0.1))
 
 
 class TestReducedCost:
@@ -137,7 +143,7 @@ class TestReducedCost:
             psi = rng.standard_normal((e, j))
             y = rng.random((j, i))
             kernel = compute_q(phi, lam)
-            w = fit_model(psi, y, phi, lam)
+            w = fit_model(psi, y, phi, kernel)
             direct = ridge_residual(psi, y, phi, w, lam)
             reduced = discriminative_cost(psi, y, kernel)
             assert reduced == pytest.approx(direct, rel=1e-8, abs=1e-12)
@@ -148,7 +154,7 @@ class TestReducedCost:
         phi = rng.standard_normal((2, 5))
         psi = rng.standard_normal((3, 2))
         y = rng.random((2, 5))
-        w = fit_model(psi, y, phi, lam=0.3)
+        w = fit_model(psi, y, phi, compute_q(phi, lam=0.3))
         best = ridge_residual(psi, y, phi, w, lam=0.3)
         for _ in range(50):
             other = w + 0.1 * rng.standard_normal(w.shape)

@@ -274,6 +274,10 @@ class TestSynthesize:
             SynthConfig(sentences=5, intervals=3)
         with pytest.raises(ValueError):
             SynthConfig(noise=-0.1)
+        for bad in ({"n_streams": 0}, {"supervised_fraction": 1.5}, {"supervised_fraction": -0.5},
+                    {"sentences": "2"}, {"seed": 1.0}, {"noise": float("nan")}):
+            with pytest.raises(ValueError):
+                SynthConfig(**bad)
 
 
 class TestManifest:
@@ -287,7 +291,8 @@ class TestManifest:
         "hp",
         [{"lambda": None}, {"sigma": "x"}, {"alpha": True}, {"max_iter": 2.5},
          {"max_iter": -1}, {"mu": [2.0]}, {"mu_background": "1"}, {"rounding": "best"},
-         {"supervision": None}],
+         {"supervision": None}, {"lamda": 5}, {"lambda": float("inf")},
+         {"sigma": float("nan")}],
     )
     def test_bad_hyperparameter_values_rejected(self, tmp_path, hp):
         with pytest.raises(ValueError, match="hyperparameter"):
@@ -477,6 +482,10 @@ class TestCli:
             ("align", {"rounding": "best"}),
             ("align", {"supervision": "all"}),
             ("align", {"mu": 2.0}),
+            ("align", {"lamda": 5}),
+            ("align", {"lambda": float("inf")}),
+            ("align", {"sigma": float("nan")}),
+            ("align", {"sigma": 1e-200}),
             ("sweep", 3),
             ("sweep", {"n_streams": 1}),
             ("sweep", "unknown-key"),
@@ -484,9 +493,11 @@ class TestCli:
         ],
         ids=["null-lambda", "string-sigma", "null-max-iter", "fractional-max-iter",
              "list-kappa", "bool-beta", "string-mu", "unknown-rounding",
-             "unknown-supervision", "mu-with-mu-background", "int-synth",
+             "unknown-supervision", "mu-with-mu-background", "misspelt-lambda",
+             "infinite-lambda", "nan-sigma", "underflowing-sigma", "int-synth",
              "synth-missing-keys", "synth-unknown-key", "synth-string-size"],
     )
+    @pytest.mark.filterwarnings("error")  # a warning is one more stderr line
     def test_malformed_manifest_values_exit_1(self, tmp_path, capsys, command, edit):
         # align edits the hyperparameters of a 1-stream suite, sweep its synth section.
         suite = tmp_path / "suite"
@@ -509,6 +520,50 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("ValueError: ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["sweep", "--param", "sigma", "--values", "2", "--seeds", ""],
+            ["synth", "--streams", "0"],
+            ["synth", "--supervised-fraction", "2"],
+            ["align", "--max-iter", "-1"],
+        ],
+        ids=["sweep-empty-seeds", "synth-zero-streams", "synth-fraction-above-one",
+             "align-negative-max-iter"],
+    )
+    def test_out_of_range_command_inputs_exit_1(self, tmp_path, capsys, argv):
+        if argv[0] != "synth":
+            pipeline.run_synth(tmp_path, n_streams=1, sentences=2, intervals=6, seed=1)
+            argv = argv + ["--manifest", str(tmp_path / "manifest.json")]
+        code = cli.main(argv + ["--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ValueError: ")
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_hard_supervised_align_passes_output_checks(self, tmp_path, seed):
+        # The checks e2ebench makes on every align, on a smaller pinned-32x40:
+        # half the streams admit one path each.
+        suite = tmp_path / "suite"
+        pipeline.run_synth(suite, n_streams=8, sentences=3, intervals=40,
+                           supervised_fraction=0.5, seed=seed)
+        flags = ["--supervision", "hard", "--max-iter", "100", "--gap-tol", "1e-6",
+                 "--rounding", "model"]
+        runs = [tmp_path / "a", tmp_path / "b"]
+        for run in runs:
+            argv = ["align", "--manifest", str(suite / "manifest.json"), "--out-dir", str(run)]
+            assert cli.main(argv + flags) == 0
+        report = json.loads((runs[0] / "report.json").read_text())
+        assert report["iterations"] <= 100 and report["stop_reason"] == "gap_tol"
+        rows = [r.split(",") for r in (runs[0] / "trace.csv").read_text().splitlines()[1:]]
+        objectives = [float(r[1]) for r in rows]
+        gaps = [float(r[2]) for r in rows] + [report["final_gap"]]
+        assert min(gaps) >= -1e-12
+        assert all(b - a <= 1e-12 for a, b in zip(objectives, objectives[1:]))
+        for n in range(8):
+            name = f"pred_stream_{n:02d}.csv"
+            assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()
 
     def test_sweep_smoke(self, tmp_path, capsys):
         suite = tmp_path / "suite"

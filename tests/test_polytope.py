@@ -11,14 +11,12 @@ from seqalign.polytope import (
     StreamLayout,
     band_indicator,
     blocks_to_matrix,
-    enumerate_paths,
     lmo_blocks,
-    matrix_to_path,
     minimize_linear,
-    path_count,
-    path_to_matrix,
 )
 from seqalign.supervision import fix_assignment_mask
+
+from oracles import enumerate_paths, matrix_to_path, path_count, path_to_matrix
 
 
 def path_cost(path, cost):

@@ -1,8 +1,10 @@
 import numpy as np
 import pytest
 
-from seqalign.polytope import AlignmentPath, band_indicator, path_to_matrix
+from seqalign.polytope import AlignmentPath, band_indicator
 from seqalign.priors import PriorConfig, band_penalty, duration_penalty
+
+from oracles import path_to_matrix
 
 
 class TestDurationPenalty:
@@ -31,6 +33,10 @@ class TestDurationPenalty:
     def test_validation(self):
         with pytest.raises(ValueError):
             PriorConfig(mu=np.ones(2), sigma=0.0)
+        with pytest.raises(ValueError):
+            PriorConfig(mu=np.ones(2), sigma=1e-200)  # sigma^2 underflows to 0
+        with pytest.raises(ValueError):
+            PriorConfig(mu=np.ones(2), sigma=float("nan"))
         with pytest.raises(ValueError):
             PriorConfig(mu=np.array([1.0, -1.0]), sigma=1.0)
         with pytest.raises(ValueError):

@@ -1,14 +1,15 @@
 import numpy as np
 import pytest
 
-from seqalign.polytope import AlignmentPath, enumerate_paths, path_to_matrix
-from seqalign.rounding import (
+from seqalign.polytope import AlignmentPath
+from seqalign.rounding import round_feature, round_model, round_nearest
+
+from oracles import (
+    enumerate_paths,
     feature_criterion,
     model_criterion,
     nearest_criterion,
-    round_feature,
-    round_model,
-    round_nearest,
+    path_to_matrix,
 )
 
 

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from seqalign import pipeline
-from seqalign.core import fit_model, ridge_residual
-from seqalign.polytope import enumerate_paths, path_to_matrix
+from seqalign.core import fit_model
 from seqalign.priors import band_penalty, duration_penalty
 from seqalign.solver import (
     _minimize_on_simplices,
@@ -15,6 +14,7 @@ from seqalign.solver import (
 from seqalign.supervision import assemble
 
 from conftest import make_instance
+from oracles import enumerate_paths, path_to_matrix, ridge_residual
 
 
 def random_hull_point(rng, instance):
@@ -53,12 +53,13 @@ class TestObjective:
     def test_vertex_value_equals_residual_plus_priors(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
-            inst = make_instance(rng, i_count=6, n_sentences=1)
+            lam = 0.1
+            inst = make_instance(rng, i_count=6, n_sentences=1, lam=lam)
             vertex = enumerate_paths(6, 3)[int(rng.integers(0, 10))]
             y = path_to_matrix(vertex)
-            w = fit_model(inst.psi, y, inst.phi, inst.kernel.lam)
+            w = fit_model(inst.psi, y, inst.phi, inst.kernel)
             expect = (
-                ridge_residual(inst.psi, y, inst.phi, w, inst.kernel.lam)
+                ridge_residual(inst.psi, y, inst.phi, w, lam)
                 + duration_penalty(y, inst.priors)
                 + inst.priors.alpha * np.sum(inst.band * y)
             )
@@ -225,7 +226,7 @@ class TestSolve:
         rng = np.random.default_rng(14)
         inst = make_instance(rng, i_count=6, n_sentences=1)
         res = solve(inst, max_iter=100, gap_tol=1e-8)
-        expect = fit_model(inst.psi, res.y_relaxed, inst.phi, inst.kernel.lam)
+        expect = fit_model(inst.psi, res.y_relaxed, inst.phi, inst.kernel)
         np.testing.assert_allclose(res.w_star, expect)
 
     def test_stop_reasons(self):

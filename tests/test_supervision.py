@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from seqalign.core import compute_q, discriminative_cost
-from seqalign.polytope import AlignmentPath, InfeasibleError, enumerate_paths
+from seqalign.polytope import AlignmentPath, InfeasibleError
 from seqalign.supervision import (
     Annotation,
     Stream,
@@ -14,6 +14,7 @@ from seqalign.supervision import (
 )
 
 from conftest import make_stream
+from oracles import enumerate_paths
 
 
 class TestAnnotation:
