@@ -14,6 +14,7 @@ from .core import (
     discriminative_cost,
     fit_model,
 )
+from .data import Hyperparameters
 from .evaluation import diagonal_path, jaccard_score, random_path
 from .polytope import (
     AlignmentPath,

@@ -1,7 +1,11 @@
 """Command-line surface: synth / align / eval / sweep."""
 
 import argparse
+import ctypes
+import functools
 import sys
+
+import numpy as np
 
 from . import pipeline
 from .data import read_manifest
@@ -36,7 +40,10 @@ def build_parser():
     p.add_argument("--supervised-fraction", type=float)
     p.add_argument("--seed", type=int)
 
-    p = sub.add_parser("align", help="solve a manifest and write predictions")
+    # A flag left out is absent from the namespace, so the manifest's value holds.
+    p = sub.add_parser(
+        "align", help="solve a manifest and write predictions", argument_default=argparse.SUPPRESS
+    )
     _add_manifest_flags(p)
     p.add_argument("--rounding", choices=ROUNDINGS)
     p.add_argument("--supervision", choices=SUPERVISION_MODES)
@@ -59,6 +66,14 @@ def build_parser():
     return parser
 
 
+def _parse(flag, tok, kind):
+    try:
+        return kind(tok)
+    except ValueError:
+        noun = "an integer" if kind is int else "a number"
+        raise ValueError(f"{flag}: {tok!r} is not {noun}") from None
+
+
 def _parse_values(param, text):
     points = []
     for tok in text.split(","):
@@ -66,15 +81,40 @@ def _parse_values(param, text):
         if not tok:
             continue
         if param == "alpha-beta":
-            a, b = tok.split(":")
-            points.append((float(a), float(b)))
+            pair = tok.split(":")
+            if len(pair) != 2:
+                raise ValueError(f"--values: {tok!r} is not an alpha:beta pair")
+            points.append(tuple(_parse("--values", t, float) for t in pair))
         else:
-            points.append(float(tok))
+            points.append(_parse("--values", tok, float))
     return points
 
 
+# glibc serves an allocation above its mmap threshold from a mapping of its
+# own, and on the first free of one raises the threshold to that size (up to
+# 32 MiB).  The (J, I) arrays of the solve, 20 MiB on kernel-16x250, then
+# come from the heap, whose freed memory stays resident and may be filled to
+# whole huge pages by the kernel: that align's peak RSS was 304 MiB in some
+# runs and 322 MiB in others.  Fixed thresholds (trim at twice the mmap
+# threshold, as glibc's own raise sets it) return every array of 4 MiB or
+# more to the system when it is freed.
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
+_MMAP_THRESHOLD = 4 << 20
+
+
+@functools.cache  # once per process
+def _unmap_large_arrays_on_free():
+    if sys.platform.startswith("linux"):
+        libc = ctypes.CDLL(None)
+        libc.mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD)
+        libc.mallopt(_M_TRIM_THRESHOLD, 2 * _MMAP_THRESHOLD)
+
+
+# A float that overflows, or an operation invalid on floats, raises instead of warning.
+@np.errstate(over="raise", divide="raise", invalid="raise")
 def main(argv=None):
     args = build_parser().parse_args(argv)
+    _unmap_large_arrays_on_free()
     try:
         if args.command == "synth":
             cfg = {k: v for k, v in vars(args).items() if k not in ("command", "out_dir")}
@@ -82,13 +122,9 @@ def main(argv=None):
             print(f"wrote {len(manifest.streams)} streams to {args.out_dir}")
         elif args.command == "align":
             manifest = read_manifest(args.manifest)
-            overrides = {
-                "rounding": args.rounding,
-                "supervision": args.supervision,
-                "gap_tol": args.gap_tol,
-                "max_iter": args.max_iter,
-            }
-            report = pipeline.run_align(manifest, args.out_dir, overrides)
+            paths = ("command", "manifest", "out_dir")
+            flags = {k: v for k, v in vars(args).items() if k not in paths}
+            report = pipeline.run_align(manifest, args.out_dir, flags)
             print(
                 f"solved {len(report['streams'])} streams: "
                 f"objective {report['final_objective']:.6g}, "
@@ -104,12 +140,12 @@ def main(argv=None):
         elif args.command == "sweep":
             manifest = read_manifest(args.manifest)
             values = _parse_values(args.param, args.values)
-            seeds = [int(s) for s in args.seeds.split(",") if s.strip()]
+            seeds = [_parse("--seeds", s, int) for s in args.seeds.split(",") if s.strip()]
             rows = pipeline.run_sweep(manifest, args.param, values, seeds, args.out_dir)
             for point, mean, stderr, n in rows:
                 label = ",".join(f"{v:g}" for v in point)
                 print(f"{args.param}={label}: {mean:.4f} +/- {stderr:.4f} (n={n})")
-    except (ValueError, OSError, KeyError) as e:
+    except (ValueError, OSError, KeyError, ArithmeticError) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1
     return 0

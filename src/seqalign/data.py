@@ -8,6 +8,7 @@ with a fixed seed produce bit-identical files.
 
 import json
 import math
+import sys
 from dataclasses import dataclass, field, fields
 from numbers import Integral, Real
 from pathlib import Path
@@ -134,7 +135,29 @@ def _is_integer(v):
 
 
 def _is_number(v):
-    return isinstance(v, Real) and not isinstance(v, bool) and math.isfinite(v)
+    # A finite float, or an integer a float can hold: math.isfinite raises on larger ones.
+    return isinstance(v, Real) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def _key(f):
+    """The manifest key of a record's field: its name, unless its metadata gives another."""
+    return f.metadata.get("key", f.name)
+
+
+def _check_types(record, kind):
+    """Raise ValueError unless each field holds a value of its annotated type.
+
+    An int field takes an integer, a float field a finite number and a
+    ``float | None`` field either that or null; a bool is none of them.
+    """
+    for f in fields(record):
+        v = getattr(record, f.name)
+        if f.type is int and not _is_integer(v):
+            raise ValueError(f"{kind} {_key(f)!r} must be an integer, got {v!r}")
+        if f.type is float and not _is_number(v):
+            raise ValueError(f"{kind} {_key(f)!r} must be a finite number, got {v!r}")
+        if f.type == float | None and not (v is None or _is_number(v)):
+            raise ValueError(f"{kind} {_key(f)!r} must be a finite number or null, got {v!r}")
 
 
 @dataclass(frozen=True)
@@ -155,12 +178,7 @@ class SynthConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for f in fields(self):
-            v = getattr(self, f.name)
-            if f.type is int and not _is_integer(v):
-                raise ValueError(f"synth {f.name!r} must be an integer, got {v!r}")
-            if f.type is float and not _is_number(v):
-                raise ValueError(f"synth {f.name!r} must be a finite number, got {v!r}")
+        _check_types(self, "synth")
         if self.n_streams < 1:
             raise ValueError("n_streams must be at least 1")
         if not 0.0 <= self.supervised_fraction <= 1.0:
@@ -171,6 +189,65 @@ class SynthConfig:
             raise ValueError("sentences must not exceed intervals")
         if self.noise < 0 or self.concentration <= 0:
             raise ValueError("noise must be >= 0 and concentration > 0")
+
+
+@dataclass(frozen=True)
+class Hyperparameters:
+    """Settings of an align: the objective's weights, the rounding and the solve's budget.
+
+    A manifest's "hyperparameters" section is this record as a dict in field
+    order, keyed by field name but for ``lam``, whose key is "lambda".  Every
+    range that depends on the values alone is checked here, before any stream
+    file is read.  ``seed`` records the suite's synth seed; align ignores it.
+    """
+
+    lam: float = field(default=0.01, metadata={"key": "lambda"})  # ridge weight
+    sigma: float = 8.0  # spread of the duration prior
+    mu: float | None = None  # duration target of every row
+    mu_background: float | None = 1.0  # duration target of the background rows
+    alpha: float = 0.05  # weight of the band prior
+    beta: float = 0.15  # half-width of the band
+    kappa: float = 1.0  # feature scale of supervised streams
+    rounding: str = "model"
+    supervision: str = "soft"
+    gap_tol: float = 1e-6
+    max_iter: int = 2000
+    seed: int = 0
+
+    def __post_init__(self):
+        _check_types(self, "hyperparameter")
+        sigma2 = float(self.sigma) * float(self.sigma)  # it divides, so 0 and inf are out
+        mu, mu_bg = self.mu, self.mu_background
+        for key, value, ok, rule in (
+            ("lambda", self.lam, self.lam > 0, "be positive"),
+            ("sigma", self.sigma, self.sigma > 0 and 0 < sigma2 < math.inf,
+             "be positive with a positive, finite square"),
+            ("mu", mu, mu is None or mu > 0, "be positive or null"),
+            ("mu_background", mu_bg, mu_bg is None or mu_bg > 0, "be positive or null"),
+            ("mu_background", mu_bg, mu is None or mu_bg is None, "be null when mu is set"),
+            ("alpha", self.alpha, self.alpha >= 0, "be non-negative"),
+            ("beta", self.beta, 0 <= self.beta <= 1, "lie in [0, 1]"),
+            ("kappa", self.kappa, self.kappa >= 0, "be non-negative"),
+            ("rounding", self.rounding, self.rounding in ROUNDINGS, f"be one of {ROUNDINGS}"),
+            ("supervision", self.supervision, self.supervision in SUPERVISION_MODES,
+             f"be one of {SUPERVISION_MODES}"),
+            ("max_iter", self.max_iter, self.max_iter >= 0, "be non-negative"),
+        ):
+            if not ok:
+                raise ValueError(f"hyperparameter {key!r} must {rule}, got {value!r}")
+
+    @classmethod
+    def from_json(cls, section):
+        """The record of a manifest's "hyperparameters" object; keys left out take the defaults."""
+        names = {_key(f): f.name for f in fields(cls)}
+        unknown = section.keys() - names.keys()
+        if unknown:
+            raise ValueError(f"unknown hyperparameters {sorted(unknown)}")
+        return cls(**{names[k]: v for k, v in section.items()})
+
+    def to_json(self):
+        """The manifest's "hyperparameters" object, every key in field order."""
+        return {_key(f): getattr(self, f.name) for f in fields(self)}
 
 
 @dataclass(frozen=True)
@@ -225,48 +302,6 @@ def synthesize(config, rng=None, a_map=None):
     )
 
 
-DEFAULT_HYPERPARAMETERS = {
-    "lambda": 0.01,
-    "sigma": 8.0,
-    "mu": None,
-    "mu_background": 1.0,
-    "alpha": 0.05,
-    "beta": 0.15,
-    "kappa": 1.0,
-    "rounding": "model",
-    "supervision": "soft",
-    "gap_tol": 1e-6,
-    "max_iter": 2000,
-    "seed": 0,
-}
-
-
-def check_hyperparameters(hp):
-    """Raise ValueError for an unknown hyperparameter or one whose value has the wrong type.
-
-    Numbers must be finite.  Ranges (sigma > 0, beta in [0, 1], ...) are
-    checked where each value is used.
-    """
-    unknown = hp.keys() - DEFAULT_HYPERPARAMETERS.keys()
-    if unknown:
-        raise ValueError(f"unknown hyperparameters {sorted(unknown)}")
-    for key in ("lambda", "sigma", "alpha", "beta", "kappa", "gap_tol"):
-        if not _is_number(hp[key]):
-            raise ValueError(f"hyperparameter {key!r} must be a finite number, got {hp[key]!r}")
-    for key in ("mu", "mu_background"):
-        if hp[key] is not None and not _is_number(hp[key]):
-            raise ValueError(
-                f"hyperparameter {key!r} must be a finite number or null, got {hp[key]!r}"
-            )
-    if not _is_integer(hp["max_iter"]) or hp["max_iter"] < 0:
-        raise ValueError(
-            f"hyperparameter 'max_iter' must be a non-negative integer, got {hp['max_iter']!r}"
-        )
-    for key, allowed in (("rounding", ROUNDINGS), ("supervision", SUPERVISION_MODES)):
-        if hp[key] not in allowed:
-            raise ValueError(f"hyperparameter {key!r} must be one of {allowed}, got {hp[key]!r}")
-
-
 def check_synth(synth):
     """The SynthConfig of a manifest's "synth" section.
 
@@ -285,22 +320,12 @@ def check_synth(synth):
 
 @dataclass
 class Manifest:
-    """Run description: stream files plus global hyperparameters.
-
-    Unspecified hyperparameters take DEFAULT_HYPERPARAMETERS; the merged
-    values are checked by check_hyperparameters.
-    """
+    """Run description: stream files, the Hyperparameters of an align, a suite's synth section."""
 
     streams: list
-    hyperparameters: dict = field(default_factory=dict)
+    hyperparameters: Hyperparameters = Hyperparameters()
     synth: dict = None
     base_dir: Path = Path(".")
-
-    def __post_init__(self):
-        hp = dict(DEFAULT_HYPERPARAMETERS)
-        hp.update(self.hyperparameters)
-        check_hyperparameters(hp)
-        self.hyperparameters = hp
 
     def resolve(self, rel):
         return self.base_dir / rel
@@ -336,7 +361,7 @@ def read_manifest(path):
         raise ValueError(f"{path}: 'hyperparameters' must be an object")
     return Manifest(
         streams=streams,
-        hyperparameters=hp,
+        hyperparameters=Hyperparameters.from_json(hp),
         synth=raw.get("synth"),
         base_dir=path.parent,
     )
@@ -345,7 +370,7 @@ def read_manifest(path):
 def write_manifest(path, manifest):
     payload = {
         "streams": manifest.streams,
-        "hyperparameters": manifest.hyperparameters,
+        "hyperparameters": manifest.hyperparameters.to_json(),
     }
     if manifest.synth is not None:
         payload["synth"] = manifest.synth

@@ -2,7 +2,7 @@
 
 import json
 import time
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -68,33 +68,19 @@ def round_stream(instance, result, n, rounding):
 
 
 def align_streams(streams, hp):
-    """Assemble, solve and round; returns (instance, result, predictions).
-
-    hp holds every hyperparameter, the supervision mode among them.
-    """
-    instance = assemble(
-        streams,
-        lam=hp["lambda"],
-        sigma=hp["sigma"],
-        alpha=hp["alpha"],
-        beta=hp["beta"],
-        mu=hp.get("mu"),
-        mu_background=hp.get("mu_background"),
-        kappa=hp["kappa"],
-        mode=hp["supervision"],
-    )
-    result = solve(instance, max_iter=int(hp["max_iter"]), gap_tol=float(hp["gap_tol"]))
-    preds = [
-        round_stream(instance, result, n, hp["rounding"]) for n in range(len(streams))
-    ]
+    """Assemble, solve and round under hp; returns (instance, result, predictions)."""
+    instance = assemble(streams, hp)
+    result = solve(instance, max_iter=hp.max_iter, gap_tol=hp.gap_tol)
+    preds = [round_stream(instance, result, n, hp.rounding) for n in range(len(streams))]
     return instance, result, preds
 
 
 def run_align(manifest, out_dir, overrides=None):
-    """The align command: solve a manifest and persist predictions and report."""
-    hp = dict(manifest.hyperparameters)
-    hp.update({k: v for k, v in (overrides or {}).items() if v is not None})
-    io.check_hyperparameters(hp)
+    """The align command: solve a manifest and persist predictions and report.
+
+    overrides maps Hyperparameters fields to values that replace the manifest's.
+    """
+    hp = replace(manifest.hyperparameters, **(overrides or {}))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -113,7 +99,7 @@ def run_align(manifest, out_dir, overrides=None):
         trace_lines.append(f"{t},{o!r},{g!r}")
     (out_dir / "trace.csv").write_text("\n".join(trace_lines) + "\n")
     report = {
-        "hyperparameters": hp,
+        "hyperparameters": hp.to_json(),
         "streams": [s.id for s in streams],
         "iterations": result.iterations,
         "converged": result.converged,
@@ -151,6 +137,8 @@ def run_synth(out_dir, hyperparameters=None, **cfg):
     """The synth command: generate a suite of streams plus its manifest.
 
     cfg holds the io.SynthConfig fields to set; the others keep its defaults.
+    The manifest records hyperparameters (io.Hyperparameters, the defaults
+    if None) with the suite's seed.
     """
     config = io.SynthConfig(**cfg)
     out_dir = Path(out_dir)
@@ -177,8 +165,7 @@ def run_synth(out_dir, hyperparameters=None, **cfg):
                 "supervised": n < n_sup,
             }
         )
-    hp = dict(hyperparameters or {})
-    hp.setdefault("seed", config.seed)
+    hp = replace(hyperparameters or io.Hyperparameters(), seed=config.seed)
     manifest = io.Manifest(
         streams=records, hyperparameters=hp, synth=asdict(config), base_dir=out_dir
     )
@@ -208,6 +195,8 @@ def run_sweep(manifest, param, values, seeds, out_dir):
     for value, point in zip(values, points):
         if len(point) != len(keys):
             raise ValueError(f"sweep value {value!r} does not match {keys}")
+        # Its range is checked before any suite is written.
+        replace(manifest.hyperparameters, **dict(zip(keys, point)))
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     suites = [

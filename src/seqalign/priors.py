@@ -20,9 +20,9 @@ class PriorConfig:
     alpha: float = 0.0
 
     def __post_init__(self):
-        # sigma^2 divides: a sigma that is positive but squares to 0 is as bad as 0.
-        if not (self.sigma > 0 and self.sigma**2 > 0):
-            raise ValueError(f"sigma must be positive with a non-zero square, got {self.sigma!r}")
+        # sigma^2 divides: a sigma whose square is 0 or inf is as bad as 0.
+        if not (self.sigma > 0 and 0 < self.sigma * self.sigma < np.inf):
+            raise ValueError(f"sigma and sigma^2 must be positive and finite, got {self.sigma!r}")
         if self.alpha < 0:
             raise ValueError("alpha must be non-negative")
         mu = np.asarray(self.mu, dtype=np.float64)

@@ -149,28 +149,14 @@ def resolve_mu(layout, backgrounds, mu=None, mu_background=None):
     return out
 
 
-def assemble(
-    streams,
-    lam,
-    sigma,
-    alpha=0.0,
-    beta=0.1,
-    mu=None,
-    mu_background=None,
-    kappa=1.0,
-    mode="soft",
-):
-    """Build a ProblemInstance from a list of streams.
+def assemble(streams, hp):
+    """Build a ProblemInstance from a list of streams under data.Hyperparameters hp.
 
     phi is augmented with a row of ones.  Supervised streams have psi and
-    phi scaled by kappa and carry either a soft interval mask or
-    (mode="hard") a mask that admits only the ground-truth path derived
-    from their annotation.  mode="none" ignores annotations entirely.
+    phi scaled by hp.kappa and carry either a soft interval mask or
+    (hp.supervision "hard") a mask that admits only the ground-truth path
+    derived from their annotation; "none" ignores annotations entirely.
     """
-    if kappa < 0:
-        raise ValueError("kappa must be non-negative")
-    if mode not in SUPERVISION_MODES:
-        raise ValueError(f"unknown supervision mode {mode!r}")
     if not streams:
         raise ValueError("at least one stream is required")
     e_dims = {s.psi.shape[0] for s in streams}
@@ -182,12 +168,12 @@ def assemble(
     for s in streams:
         phi = augment_affine(s.phi)
         psi = np.asarray(s.psi, dtype=np.float64)
-        if s.supervised and mode != "none":
+        if s.supervised and hp.supervision != "none":
             if s.annotation is None:
                 raise ValueError(f"stream {s.id}: supervised but has no annotation")
-            phi = kappa * phi
-            psi = kappa * psi
-            if mode == "hard":
+            phi = hp.kappa * phi
+            psi = hp.kappa * psi
+            if hp.supervision == "hard":
                 y_s = annotation_to_path(s.annotation, s.j_count, s.i_count, s.background)
                 masks.append(fix_assignment_mask(y_s))
             else:
@@ -205,16 +191,16 @@ def assemble(
     phi_all = np.hstack(phis)
     psi_all = np.hstack(psis)
     priors = PriorConfig(
-        mu=resolve_mu(layout, [s.background for s in streams], mu, mu_background),
-        sigma=sigma,
-        alpha=alpha,
+        mu=resolve_mu(layout, [s.background for s in streams], hp.mu, hp.mu_background),
+        sigma=hp.sigma,
+        alpha=hp.alpha,
     )
     return ProblemInstance(
         psi=psi_all,
         phi=phi_all,
         layout=layout,
-        kernel=compute_q(phi_all, lam),
+        kernel=compute_q(phi_all, hp.lam),
         priors=priors,
-        band=block_band(layout, beta),
+        band=block_band(layout, hp.beta),
         masks=tuple(masks),
     )

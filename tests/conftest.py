@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from seqalign.data import Hyperparameters
 from seqalign.polytope import minimize_linear
 from seqalign.supervision import Stream, assemble
 
@@ -39,4 +40,5 @@ def make_instance(
     beta=0.3,
 ):
     stream = make_stream(rng, i_count, n_sentences, e_dim, d_dim)
-    return assemble([stream], lam=lam, sigma=sigma, alpha=alpha, beta=beta)
+    hp = Hyperparameters(lam=lam, sigma=sigma, alpha=alpha, beta=beta, mu_background=None)
+    return assemble([stream], hp)

@@ -1,8 +1,9 @@
 """Brute-force references the tests check the package against.
 
 Exhaustive path enumeration, the vertex matrix of a path, the joint ridge
-objective and the three rounding criteria.  Each is written independently
-of the fast path it arbitrates; none is used by the package itself.
+objective, the three rounding criteria and a duality-gap certificate of a
+solve.  Each is written independently of the fast path it arbitrates; none
+is used by the package itself.
 """
 
 from itertools import combinations
@@ -10,7 +11,8 @@ from math import comb
 
 import numpy as np
 
-from seqalign.polytope import AlignmentPath
+from seqalign.polytope import AlignmentPath, blocks_to_matrix, lmo_blocks
+from seqalign.priors import band_penalty, duration_penalty
 
 # Hard caps for exhaustive enumeration.
 ENUM_MAX_I = 14
@@ -95,3 +97,26 @@ def model_criterion(path, w, psi, phi):
     """||psi Y - W phi||_F^2, the criterion round_model minimizes."""
     y = path_to_matrix(path)
     return float(np.sum((psi @ y - w @ phi) ** 2))
+
+
+def reference_certificate(instance, result, hp):
+    """(objective, duality gap) of result.y_relaxed, computed without the solver's code.
+
+    The objective is the joint ridge objective at W*, solved with
+    np.linalg.solve on G = phi phi^T + I*lam*Id rather than the Cholesky
+    factor, plus the two priors.  The gradient takes the dense
+    Q = Id - phi^T G^{-1} phi; the linear minimizer is lmo_blocks, which the
+    tests check against enumeration.  hp is the solve's Hyperparameters.
+    """
+    psi, phi, y, p = instance.psi, instance.phi, result.y_relaxed, instance.priors
+    D, I = phi.shape
+    gram = phi @ phi.T + I * hp.lam * np.eye(D)
+    w = np.linalg.solve(gram, phi @ (psi @ y).T).T
+    f = ridge_residual(psi, y, phi, w, hp.lam)
+    f += duration_penalty(y, p) + band_penalty(y, instance.band, hp.alpha)
+    q = np.eye(I) - phi.T @ np.linalg.solve(gram, phi)
+    grad = (psi.T @ psi) @ y @ q / I
+    grad += ((y.sum(axis=1) - p.mu) / p.sigma**2)[:, None] + hp.alpha * instance.band
+    v_paths, _ = lmo_blocks(grad, instance.layout, instance.masks)
+    v = blocks_to_matrix(v_paths, instance.layout)
+    return f, float(np.sum(grad * (y - v)))

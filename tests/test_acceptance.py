@@ -7,6 +7,7 @@ being encoded here.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ import pytest
 from seqalign import cli, pipeline
 from seqalign.core import compute_q, discriminative_cost, fit_model
 from seqalign.data import (
-    DEFAULT_HYPERPARAMETERS,
+    Hyperparameters,
     SynthConfig,
     interleave_background,
     read_manifest,
@@ -162,15 +163,7 @@ def test_criterion_04_gradient_matches_finite_differences():
 
 def test_criterion_05_duality_gap_certificate_on_default_instance():
     stream = _default_stream(seed=7, noise=0.1)
-    hp = DEFAULT_HYPERPARAMETERS
-    inst = assemble(
-        [stream],
-        lam=hp["lambda"],
-        sigma=hp["sigma"],
-        alpha=hp["alpha"],
-        beta=hp["beta"],
-        mu_background=hp["mu_background"],
-    )
+    inst = assemble([stream], Hyperparameters())
     t0 = time.perf_counter()
     res = solve(inst, max_iter=2000, gap_tol=1e-6)
     elapsed = time.perf_counter() - t0
@@ -216,7 +209,7 @@ def _suite_scores(tmpdir, seed, noise, supervised_fraction=0.0, supervision="sof
     )
     streams = pipeline.load_streams(manifest)
     _, _, preds = pipeline.align_streams(
-        streams, {**manifest.hyperparameters, "supervision": supervision}
+        streams, replace(manifest.hyperparameters, supervision=supervision)
     )
     return streams, preds
 

@@ -1,4 +1,7 @@
 import json
+import re
+import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -7,6 +10,7 @@ from hypothesis import strategies as st
 
 from seqalign import cli, pipeline
 from seqalign.data import (
+    Hyperparameters,
     Manifest,
     SynthConfig,
     interleave_background,
@@ -165,7 +169,7 @@ _MANIFEST = st.one_of(
     _JSON,
 ).map(json.dumps).map(str.encode)
 
-# The exceptions cli.main reports as a one-line error with exit code 1.
+# The errors a reader may raise; cli.main reports each as one line with exit code 1.
 _REPORTED = (ValueError, OSError, KeyError)
 _FUZZ = settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
@@ -282,30 +286,33 @@ class TestSynthesize:
 
 class TestManifest:
     def test_defaults_merged(self):
-        m = Manifest(streams=[], hyperparameters={"sigma": 3.0})
-        assert m.hyperparameters["sigma"] == 3.0
-        assert m.hyperparameters["lambda"] == 0.01
-        assert m.hyperparameters["rounding"] == "model"
+        m = Manifest(streams=[], hyperparameters=Hyperparameters.from_json({"sigma": 3.0}))
+        assert m.hyperparameters.sigma == 3.0
+        assert m.hyperparameters.lam == 0.01
+        assert m.hyperparameters.rounding == "model"
 
     @pytest.mark.parametrize(
         "hp",
         [{"lambda": None}, {"sigma": "x"}, {"alpha": True}, {"max_iter": 2.5},
          {"max_iter": -1}, {"mu": [2.0]}, {"mu_background": "1"}, {"rounding": "best"},
          {"supervision": None}, {"lamda": 5}, {"lambda": float("inf")},
-         {"sigma": float("nan")}],
+         {"sigma": float("nan")}, {"lambda": 0}, {"sigma": 1e200}, {"sigma": 10**200},
+         {"sigma": 10**400}, {"sigma": 1e-200}, {"mu": 0.5}, {"mu": -1, "mu_background": None},
+         {"mu_background": 0}, {"alpha": -0.1}, {"beta": 2}, {"kappa": -1}],
     )
     def test_bad_hyperparameter_values_rejected(self, tmp_path, hp):
         with pytest.raises(ValueError, match="hyperparameter"):
-            Manifest(streams=[], hyperparameters=hp)
-        # run_synth builds its manifest the same way, so it rejects them too.
+            Hyperparameters.from_json(hp)
+        # read_manifest builds its record the same way, so it rejects them too.
+        path = tmp_path / "manifest.json"
+        path.write_text(json.dumps({"streams": [], "hyperparameters": hp}))
         with pytest.raises(ValueError, match="hyperparameter"):
-            pipeline.run_synth(tmp_path, n_streams=1, sentences=2, intervals=6,
-                               hyperparameters=hp)
+            read_manifest(path)
 
     def test_round_trip(self, tmp_path):
         m = Manifest(
             streams=[{"id": "s", "phi_path": "s.phi.csv", "psi_path": "s.psi.csv"}],
-            hyperparameters={"alpha": 0.2},
+            hyperparameters=Hyperparameters(alpha=0.2),
             synth={"n_streams": 1},
         )
         f = tmp_path / "manifest.json"
@@ -376,14 +383,65 @@ class TestPipeline:
         )
         streams = pipeline.load_streams(manifest)
         _, _, preds = pipeline.align_streams(
-            streams, {**manifest.hyperparameters, "supervision": "hard"}
+            streams, replace(manifest.hyperparameters, supervision="hard")
         )
         s = streams[0]
         expect = annotation_to_path(s.annotation, s.j_count, s.i_count, s.background)
         np.testing.assert_array_equal(preds[0].assignment, expect.assignment)
 
 
+# A hyperparameter value of any JSON type, numbers at the edges of the float range among them.
+_HP_VALUE = st.one_of(
+    st.sampled_from([1e308, 1e300, 1e200, 1e-160, 1e-300, 5e-324, 0.0, -0.0, -1e308, 10**200,
+                     10**400, -(10**400), 0, -1, 8, 0.5]),
+    st.floats(),
+    st.integers(),
+    st.none(),
+    st.booleans(),
+    st.sampled_from(("model", "nearest", "feature", "none", "soft", "hard")),
+    st.text(max_size=4),
+    st.lists(st.floats(), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+)
+# align flags in the forms argparse accepts, "--gap-tol=-inf" among them.
+_ALIGN_FLAGS = st.lists(
+    st.one_of(
+        st.sampled_from(["nan", "inf", "-inf", "1e308", "-1e308", "-1", "0", "1e-6"]).map(
+            "--gap-tol={}".format
+        ),
+        st.sampled_from(["-1", "0", "3", str(10**30)]).map("--max-iter={}".format),
+        st.sampled_from(["nearest", "feature", "model"]).map("--rounding={}".format),
+        st.sampled_from(["none", "soft", "hard"]).map("--supervision={}".format),
+    ),
+    max_size=3,
+)
+
+
 class TestCli:
+    @settings(max_examples=100, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(edit=st.dictionaries(st.sampled_from(list(Hyperparameters().to_json())), _HP_VALUE,
+                                max_size=3),
+           flags=_ALIGN_FLAGS)
+    def test_align_fuzz_exits_0_or_prints_one_error_line(self, tmp_path, capsys, edit, flags):
+        suite = tmp_path / "suite"
+        if not suite.exists():
+            pipeline.run_synth(suite, n_streams=2, sentences=2, intervals=6, seed=1,
+                               supervised_fraction=0.5)
+        raw = json.loads((suite / "manifest.json").read_text())
+        raw["hyperparameters"].update(edit)
+        path = suite / "fuzz.json"
+        path.write_text(json.dumps(raw))
+        argv = ["align", "--manifest", str(path), "--out-dir", str(tmp_path / "out")] + flags
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a warning is one more stderr line
+            code = cli.main(argv)
+        err = capsys.readouterr().err.splitlines()
+        if code != 0:
+            assert code == 1 and len(err) == 1 and re.fullmatch(r"\w+Error: .+", err[0]), err
+        else:
+            assert err == []
+
     def test_synth_align_eval_smoke(self, tmp_path, capsys):
         suite = tmp_path / "suite"
         assert (
@@ -470,38 +528,46 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("ValueError: ")
 
     @pytest.mark.parametrize(
-        "command, edit",
+        "command, edit, error",
         [
-            ("align", {"lambda": None}),
-            ("align", {"sigma": "x"}),
-            ("align", {"max_iter": None}),
-            ("align", {"max_iter": 2.5}),
-            ("align", {"kappa": [1]}),
-            ("align", {"beta": True}),
-            ("align", {"mu": "2"}),
-            ("align", {"rounding": "best"}),
-            ("align", {"supervision": "all"}),
-            ("align", {"mu": 2.0}),
-            ("align", {"lamda": 5}),
-            ("align", {"lambda": float("inf")}),
-            ("align", {"sigma": float("nan")}),
-            ("align", {"sigma": 1e-200}),
-            ("sweep", 3),
-            ("sweep", {"n_streams": 1}),
-            ("sweep", "unknown-key"),
-            ("sweep", "string-size"),
+            ("align", {"lambda": None}, "ValueError"),
+            ("align", {"sigma": "x"}, "ValueError"),
+            ("align", {"max_iter": None}, "ValueError"),
+            ("align", {"max_iter": 2.5}, "ValueError"),
+            ("align", {"kappa": [1]}, "ValueError"),
+            ("align", {"beta": True}, "ValueError"),
+            ("align", {"mu": "2"}, "ValueError"),
+            ("align", {"rounding": "best"}, "ValueError"),
+            ("align", {"supervision": "all"}, "ValueError"),
+            ("align", {"mu": 2.0}, "ValueError"),
+            ("align", {"lamda": 5}, "ValueError"),
+            ("align", {"lambda": float("inf")}, "ValueError"),
+            ("align", {"sigma": float("nan")}, "ValueError"),
+            ("align", {"sigma": 1e-200}, "ValueError"),
+            ("align", {"sigma": 1e200}, "ValueError"),
+            # Finite values whose arithmetic overflows in the solve.
+            ("align", {"mu": 1e300, "mu_background": None}, "FloatingPointError"),
+            ("align", {"kappa": 1e300}, "FloatingPointError"),
+            ("align", {"sigma": 1e-160}, "FloatingPointError"),
+            ("sweep", 3, "ValueError"),
+            ("sweep", {"n_streams": 1}, "ValueError"),
+            ("sweep", "unknown-key", "ValueError"),
+            ("sweep", "string-size", "ValueError"),
         ],
         ids=["null-lambda", "string-sigma", "null-max-iter", "fractional-max-iter",
              "list-kappa", "bool-beta", "string-mu", "unknown-rounding",
              "unknown-supervision", "mu-with-mu-background", "misspelt-lambda",
-             "infinite-lambda", "nan-sigma", "underflowing-sigma", "int-synth",
+             "infinite-lambda", "nan-sigma", "underflowing-sigma", "overflowing-sigma",
+             "huge-mu", "huge-kappa", "tiny-sigma", "int-synth",
              "synth-missing-keys", "synth-unknown-key", "synth-string-size"],
     )
     @pytest.mark.filterwarnings("error")  # a warning is one more stderr line
-    def test_malformed_manifest_values_exit_1(self, tmp_path, capsys, command, edit):
+    def test_malformed_manifest_values_exit_1(self, tmp_path, capsys, command, edit, error):
         # align edits the hyperparameters of a 1-stream suite, sweep its synth section.
+        # The stream is supervised, so that kappa scales it.
         suite = tmp_path / "suite"
-        pipeline.run_synth(suite, n_streams=1, sentences=2, intervals=6, seed=1)
+        pipeline.run_synth(suite, n_streams=1, sentences=2, intervals=6, seed=1,
+                           supervised_fraction=1.0)
         path = suite / "manifest.json"
         raw = json.loads(path.read_text())
         if command == "align":
@@ -519,18 +585,32 @@ class TestCli:
         code = cli.main(argv)
         assert code == 1
         err = capsys.readouterr().err.splitlines()
-        assert len(err) == 1 and err[0].startswith("ValueError: ")
+        assert len(err) == 1 and err[0].startswith(f"{error}: ")
+
+    @pytest.mark.parametrize("edit", [{"beta": 2}, {"kappa": -1}, {"lambda": 0}],
+                             ids=["beta", "kappa", "lambda"])
+    def test_range_error_precedes_reading_streams(self, tmp_path, capsys, edit):
+        # The stream files do not exist: the range error must come first.
+        manifest = tmp_path / "manifest.json"
+        stream = {"id": "a", "phi_path": "a.phi.csv", "psi_path": "a.psi.csv"}
+        manifest.write_text(json.dumps({"streams": [stream], "hyperparameters": edit}))
+        code = cli.main(["align", "--manifest", str(manifest), "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        key = next(iter(edit))
+        assert len(err) == 1 and err[0].startswith("ValueError: ") and repr(key) in err[0]
 
     @pytest.mark.parametrize(
         "argv",
         [
             ["sweep", "--param", "sigma", "--values", "2", "--seeds", ""],
+            ["sweep", "--param", "sigma", "--values", "1e200"],
             ["synth", "--streams", "0"],
             ["synth", "--supervised-fraction", "2"],
             ["align", "--max-iter", "-1"],
         ],
-        ids=["sweep-empty-seeds", "synth-zero-streams", "synth-fraction-above-one",
-             "align-negative-max-iter"],
+        ids=["sweep-empty-seeds", "sweep-overflowing-sigma", "synth-zero-streams",
+             "synth-fraction-above-one", "align-negative-max-iter"],
     )
     def test_out_of_range_command_inputs_exit_1(self, tmp_path, capsys, argv):
         if argv[0] != "synth":
@@ -540,6 +620,27 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("ValueError: ")
+
+    @pytest.mark.parametrize(
+        "flags, flag, token",
+        [
+            (["--param", "alpha-beta", "--values", "1"], "--values", "'1'"),
+            (["--param", "alpha-beta", "--values", "0.1:0.2,1:2:3"], "--values", "'1:2:3'"),
+            (["--param", "alpha-beta", "--values", "1:x"], "--values", "'x'"),
+            (["--param", "sigma", "--values", "2,x"], "--values", "'x'"),
+            (["--param", "sigma", "--values", "2", "--seeds", "0,x"], "--seeds", "'x'"),
+        ],
+        ids=["short-pair", "long-pair", "non-numeric-pair", "non-numeric-value",
+             "non-integer-seed"],
+    )
+    def test_sweep_token_errors_name_flag_and_token(self, tmp_path, capsys, flags, flag, token):
+        pipeline.run_synth(tmp_path, n_streams=1, sentences=2, intervals=6, seed=1)
+        argv = ["sweep", "--manifest", str(tmp_path / "manifest.json"),
+                "--out-dir", str(tmp_path / "out")]
+        assert cli.main(argv + flags) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ValueError: ")
+        assert flag in err[0] and token in err[0]
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_hard_supervised_align_passes_output_checks(self, tmp_path, seed):
@@ -610,6 +711,13 @@ class TestCli:
         for k in range(2):
             for seed in (0, 1):
                 assert (out_dir / f"sigma_{k}" / f"seed_{seed}" / "scores.csv").exists()
+                # Each suite and its runs record the suite's seed, not that of --manifest.
+                report = json.loads((out_dir / f"sigma_{k}" / f"seed_{seed}" / "report.json")
+                                    .read_text())
+                assert report["hyperparameters"]["seed"] == seed
+        for seed in (0, 1):
+            raw = json.loads((out_dir / f"suite_seed_{seed}" / "manifest.json").read_text())
+            assert raw["hyperparameters"]["seed"] == raw["synth"]["seed"] == seed
 
     def test_align_is_bit_deterministic(self, tmp_path):
         suite = tmp_path / "suite"

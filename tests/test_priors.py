@@ -36,6 +36,8 @@ class TestDurationPenalty:
         with pytest.raises(ValueError):
             PriorConfig(mu=np.ones(2), sigma=1e-200)  # sigma^2 underflows to 0
         with pytest.raises(ValueError):
+            PriorConfig(mu=np.ones(2), sigma=1e200)  # sigma^2 overflows to inf
+        with pytest.raises(ValueError):
             PriorConfig(mu=np.ones(2), sigma=float("nan"))
         with pytest.raises(ValueError):
             PriorConfig(mu=np.array([1.0, -1.0]), sigma=1.0)

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from seqalign.solver import (
 from seqalign.supervision import assemble
 
 from conftest import make_instance
-from oracles import enumerate_paths, path_to_matrix, ridge_residual
+from oracles import enumerate_paths, path_to_matrix, reference_certificate, ridge_residual
 
 
 def random_hull_point(rng, instance):
@@ -254,21 +256,47 @@ class TestSolve:
         manifest = pipeline.run_synth(
             tmp_path, n_streams=4, supervised_fraction=0.25, seed=0
         )
-        hp = manifest.hyperparameters
-        inst = assemble(
-            pipeline.load_streams(manifest),
-            lam=hp["lambda"],
-            sigma=hp["sigma"],
-            alpha=hp["alpha"],
-            beta=hp["beta"],
-            mu_background=hp["mu_background"],
-            mode="soft",
-        )
+        hp = replace(manifest.hyperparameters, supervision="soft")
+        inst = assemble(pipeline.load_streams(manifest), hp)
         assert sum(m is not None for m in inst.masks) == 1
         res = solve(inst, max_iter=2000, gap_tol=1e-6)
         assert res.converged and res.iterations <= 2000
         assert res.gap_trace[-1] <= 1e-6
         assert np.all(np.diff(res.objective_trace) <= 1e-12)
+
+
+class TestReferenceCertificate:
+    """Each solve's answer, vouched for by a gap and objective computed without its code."""
+
+    # Disagreements measured against the solver's own figures: up to 1.2e-15 in
+    # the gap and 2e-14 in objectives of 1.2 to 7.6.  The slack is 50 times the
+    # larger, and a million times below gap_tol, so a fault that leaves a gap
+    # of gap_tol unseen still fails.
+    SLACK = 1e-12
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("supervision", ["none", "soft", "hard"])
+    @pytest.mark.parametrize(
+        "synth",
+        [
+            dict(noise=1.0, supervised_fraction=0.25),
+            dict(supervised_fraction=0.0),
+            dict(supervised_fraction=0.5),
+        ],
+        ids=["converge", "kernel", "pinned"],
+    )
+    def test_solve_meets_reference_certificate(self, tmp_path, synth, supervision, seed):
+        # The benchmark's three workloads at a tiny shape: 4 streams of 2 sentences x 12 intervals.
+        manifest = pipeline.run_synth(
+            tmp_path, n_streams=4, sentences=2, intervals=12, seed=seed, **synth
+        )
+        hp = replace(manifest.hyperparameters, supervision=supervision)
+        inst = assemble(pipeline.load_streams(manifest), hp)
+        res = solve(inst, max_iter=hp.max_iter, gap_tol=hp.gap_tol)
+        f, gap = reference_certificate(inst, res, hp)
+        assert res.converged
+        assert gap <= hp.gap_tol + self.SLACK
+        assert abs(f - res.objective_trace[-1]) <= self.SLACK
 
 
 def test_simplex_correction_reaches_kkt_point():

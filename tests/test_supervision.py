@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from seqalign.core import compute_q, discriminative_cost
+from seqalign.data import Hyperparameters
 from seqalign.polytope import AlignmentPath, InfeasibleError
 from seqalign.supervision import (
     Annotation,
@@ -15,6 +16,12 @@ from seqalign.supervision import (
 
 from conftest import make_stream
 from oracles import enumerate_paths
+
+
+def _hp(**changes):
+    """lam 0.1, sigma 2, alpha 0, beta 0.1 and mu_background null, with the changes given."""
+    settings = dict(lam=0.1, sigma=2.0, alpha=0.0, beta=0.1, mu_background=None)
+    return Hyperparameters(**{**settings, **changes})
 
 
 class TestAnnotation:
@@ -145,8 +152,8 @@ class TestAssemble:
             annotation=ann,
             supervised=True,
         )
-        inst_none = assemble([tagged], lam=0.1, sigma=2.0, mode="none", kappa=3.0)
-        plain = assemble([base], lam=0.1, sigma=2.0)
+        inst_none = assemble([tagged], _hp(supervision="none", kappa=3.0))
+        plain = assemble([base], _hp())
         np.testing.assert_array_equal(inst_none.psi, plain.psi)
         np.testing.assert_array_equal(inst_none.phi, plain.phi)
         assert inst_none.masks == (None,)
@@ -162,7 +169,7 @@ class TestAssemble:
             annotation=Annotation(((1, 2, 4),)),
             supervised=True,
         )
-        inst = assemble([tagged], lam=0.1, sigma=2.0, mode="soft")
+        inst = assemble([tagged], _hp(supervision="soft"))
         expect = np.zeros((3, 6), dtype=bool)
         expect[1, [0, 1, 4, 5]] = True
         np.testing.assert_array_equal(inst.masks[0].forbidden, expect)
@@ -179,7 +186,7 @@ class TestAssemble:
             annotation=ann,
             supervised=True,
         )
-        inst = assemble([tagged], lam=0.1, sigma=2.0, mode="hard")
+        inst = assemble([tagged], _hp(supervision="hard"))
         expect = annotation_to_path(ann, 3, 5, base.background)
         survivors = enumerate_paths(5, 3, inst.masks[0])
         assert len(survivors) == 1
@@ -197,7 +204,7 @@ class TestAssemble:
             annotation=Annotation(((1, 1, 3),)),
             supervised=True,
         )
-        inst = assemble([a, sup], lam=0.1, sigma=2.0, kappa=0.0)
+        inst = assemble([a, sup], _hp(kappa=0.0))
         layout = inst.layout
         i0 = layout.i_offsets[1]
         # Supervised block (including the affine ones row) is zeroed out...
@@ -222,23 +229,23 @@ class TestAssemble:
         rng = np.random.default_rng(5)
         s = make_stream(rng, i_count=5, n_sentences=1)
         with pytest.raises(ValueError):
-            assemble([], lam=0.1, sigma=2.0)
+            assemble([], _hp())
         with pytest.raises(ValueError):
-            assemble([s], lam=0.1, sigma=2.0, kappa=-1.0)
+            _hp(kappa=-1.0)
         with pytest.raises(ValueError):
-            assemble([s], lam=0.1, sigma=2.0, mode="loud")
+            _hp(supervision="loud")
         sup = Stream(id="s", phi=s.phi, psi=s.psi, supervised=True)
         with pytest.raises(ValueError):
-            assemble([sup], lam=0.1, sigma=2.0)
+            assemble([sup], _hp())
         other = make_stream(rng, i_count=5, n_sentences=1, e_dim=4)
         with pytest.raises(ValueError):
-            assemble([s, other], lam=0.1, sigma=2.0)
+            assemble([s, other], _hp())
 
     def test_layout_and_mu_assembled_per_stream(self):
         rng = np.random.default_rng(6)
         a = make_stream(rng, i_count=6, n_sentences=1)
         b = make_stream(rng, i_count=8, n_sentences=2)
-        inst = assemble([a, b], lam=0.1, sigma=2.0)
+        inst = assemble([a, b], _hp())
         assert inst.layout.i_sizes == (6, 8)
         assert inst.layout.j_sizes == (3, 5)
         np.testing.assert_allclose(
