@@ -1,10 +1,11 @@
-"""Hot numeric kernels: the dynamic program over the monotone alignment lattice.
+"""Hot numeric kernel: one dynamic program over a stack of alignment lattices.
 
-The DP is the only loop that dominates runtime at scale.  It runs as
-compiled loops when numba imports and as the row-vectorized numpy
-implementation otherwise; both are exact and return identical paths.
-``_dp_align_numpy`` also stays importable as the reference the tests
-compare the compiled kernel against.
+``dp_align(cost, starts)`` sweeps a (R, C) lattice that holds every
+stream's cost block (polytope._sweep builds it) column by column, all
+streams at once, and walks each stream's path forward from its row
+``starts[n]`` of column 0.  The DP is the only loop that dominates
+runtime at scale.  It runs as compiled loops when numba imports and as a
+numpy column sweep otherwise; both return identical paths.
 """
 
 import numpy as np
@@ -17,57 +18,56 @@ except ImportError:
     HAVE_NUMBA = False
 
 
-def _dp_align_numpy(cost):
-    """Suffix-cost DP over monotone unit-step paths, vectorized over rows.
+def _dp_align_numpy(cost, starts):
+    """Suffix-cost DP over monotone unit-step paths, vectorized over the lattice's rows.
 
-    ``cost`` is a (J, I) float64 matrix; forbidden cells carry +inf.
-    Returns (value, path) where path[i] is the 0-based row assigned to
-    column i.  Ties prefer staying on the current row.
+    ``cost`` is a (R, C) float64 lattice; forbidden cells carry +inf, and
+    its last row is never stepped past.  ``starts`` holds each path's row
+    in column 0.  Returns (values, paths): values[n] the optimal suffix cost
+    from (starts[n], 0), and paths[n, c] the path's row in column c relative
+    to starts[n].  Ties prefer staying on the current row.
     """
-    J, I = cost.shape
-    S = np.full((J, I), np.inf)
-    S[J - 1, I - 1] = cost[J - 1, I - 1]
-    shifted = np.empty(J)
-    for i in range(I - 2, -1, -1):
-        nxt = S[:, i + 1]
-        shifted[:-1] = nxt[1:]
-        shifted[-1] = np.inf
-        jlo = max(0, J - I + i)
-        jhi = min(J - 1, i)
-        sl = slice(jlo, jhi + 1)
-        S[sl, i] = cost[sl, i] + np.minimum(nxt[sl], shifted[sl])
-    value = S[0, 0]
-    path = np.empty(I, dtype=np.int64)
-    path[0] = 0
-    j = 0
-    for i in range(1, I):
-        if j + 1 < J and S[j + 1, i] < S[j, i]:
-            j += 1
-        path[i] = j
-    return value, path
+    R, C = cost.shape
+    cost_t = np.ascontiguousarray(cost.T)
+    # s[c, r] is the suffix cost from (r, c); row R is +inf, so row R - 1 never steps down.
+    s = np.empty((C, R + 1))
+    s[:, R] = np.inf
+    s[C - 1, :R] = cost_t[C - 1]
+    for c in range(C - 2, -1, -1):
+        s[c, :R] = cost_t[c] + np.minimum(s[c + 1, :R], s[c + 1, 1:])
+    down = s[:, 1:] < s[:, :R]
+    j = np.array(starts, dtype=np.int64)
+    paths = np.empty((C, j.size), dtype=np.int64)
+    paths[0] = j
+    for c in range(1, C):
+        j += down[c, j]
+        paths[c] = j
+    return s[0, starts], (paths - starts).T.copy()
 
 
-def _dp_align_loops(cost):
-    J, I = cost.shape
-    S = np.full((J, I), np.inf)
-    S[J - 1, I - 1] = cost[J - 1, I - 1]
-    for i in range(I - 2, -1, -1):
-        jlo = max(0, J - I + i)
-        jhi = min(J - 1, i)
-        for j in range(jlo, jhi + 1):
-            best = S[j, i + 1]
-            if j + 1 < J and S[j + 1, i + 1] < best:
-                best = S[j + 1, i + 1]
-            S[j, i] = cost[j, i] + best
-    value = S[0, 0]
-    path = np.empty(I, dtype=np.int64)
-    path[0] = 0
-    j = 0
-    for i in range(1, I):
-        if j + 1 < J and S[j + 1, i] < S[j, i]:
-            j += 1
-        path[i] = j
-    return value, path
+def _dp_align_loops(cost, starts):
+    R, C = cost.shape
+    s = np.empty((R + 1, C))
+    s[R, :] = np.inf
+    for r in range(R):
+        s[r, C - 1] = cost[r, C - 1]
+    for c in range(C - 2, -1, -1):
+        for r in range(R):
+            best = s[r, c + 1]
+            if s[r + 1, c + 1] < best:
+                best = s[r + 1, c + 1]
+            s[r, c] = cost[r, c] + best
+    values = np.empty(starts.size)
+    paths = np.empty((starts.size, C), dtype=np.int64)
+    for n in range(starts.size):
+        j = starts[n]
+        values[n] = s[j, 0]
+        paths[n, 0] = 0
+        for c in range(1, C):
+            if s[j + 1, c] < s[j, c]:
+                j += 1
+            paths[n, c] = j - starts[n]
+    return values, paths
 
 
 if HAVE_NUMBA:

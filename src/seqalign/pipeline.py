@@ -2,6 +2,7 @@
 
 import json
 import time
+from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -67,10 +68,27 @@ def round_stream(instance, result, n, rounding):
     raise ValueError(f"unknown rounding {rounding!r}; expected one of {ROUNDINGS}")
 
 
+# The hyperparameters the objective's arithmetic reads, by manifest key.
+_ARITHMETIC_KEYS = ("lambda", "sigma", "mu", "mu_background", "alpha", "beta", "kappa")
+
+
+@contextmanager
+def _naming_hyperparameters(stage, hp):
+    """Re-raise an arithmetic failure in ``stage`` as its type, naming the values it read."""
+    try:
+        yield
+    except (ArithmeticError, np.linalg.LinAlgError) as e:
+        values = hp.to_json()
+        named = ", ".join(f"{key}={values[key]!r}" for key in _ARITHMETIC_KEYS)
+        raise type(e)(f"{e} in {stage} with hyperparameters {named}") from None
+
+
 def align_streams(streams, hp):
     """Assemble, solve and round under hp; returns (instance, result, predictions)."""
-    instance = assemble(streams, hp)
-    result = solve(instance, max_iter=hp.max_iter, gap_tol=hp.gap_tol)
+    with _naming_hyperparameters("assemble", hp):
+        instance = assemble(streams, hp)
+    with _naming_hyperparameters("solve", hp):
+        result = solve(instance, max_iter=hp.max_iter, gap_tol=hp.gap_tol)
     preds = [round_stream(instance, result, n, hp.rounding) for n in range(len(streams))]
     return instance, result, preds
 

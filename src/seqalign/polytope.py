@@ -4,7 +4,8 @@ A feasible alignment maps each of I columns (temporal intervals) to one of
 J rows (text elements) such that the row index starts at 0, ends at J-1 and
 moves by steps of 0 or 1.  Linear forms over this set are minimized exactly
 by dynamic programming in O(IJ); this is the oracle used by the Frank-Wolfe
-solver and by every rounding procedure.
+solver and by every rounding procedure.  lmo_blocks stacks the blocks of
+all streams into one lattice, so one DP sweep serves every stream.
 """
 
 from dataclasses import dataclass, field
@@ -94,15 +95,55 @@ class StreamLayout:
         return matrix[j0 : j0 + self.j_sizes[n], i0 : i0 + self.i_sizes[n]]
 
 
-def _masked_cost(cost, mask):
-    cost = np.ascontiguousarray(cost, dtype=np.float64)
-    if not np.all(np.isfinite(cost)):
+def _sweep(blocks, masks):
+    """Optimal path and value of every (J_n, I_n) cost block, from one DP sweep.
+
+    The blocks are stacked into one lattice over the widest block's C
+    columns: block n's J_n rows, then a row of +inf that keeps its last row
+    from stepping into block n + 1.  Each block is right-aligned.  On the
+    C - I_n columns before it only its row 0 is open, at cost -0.0, which
+    leaves any sum unchanged, so the DP reaches the block's first cell with
+    the block's own value.  The block's cells above its diagonal (j > i),
+    which that prefix would otherwise enter, and those of its last column
+    above its last row are +inf; no path of the block uses them, and with
+    them closed the sweep computes every other cell as a DP of the block
+    alone would.  Returns (paths, values).
+    """
+    sizes = [b.shape for b in blocks]
+    for J, I in sizes:
+        if J > I:
+            raise InfeasibleError(f"no monotone path exists for J={J} > I={I}")
+    j_sizes, i_sizes = np.array(sizes, dtype=np.int64).T
+    C = int(i_sizes.max())
+    heights = j_sizes + 1
+    starts = np.cumsum(heights) - heights
+    # Zeros, so that only a block entry can be non-finite when checked.
+    lattice = np.zeros((int(heights.sum()), C), order="F")
+    forbidden = np.zeros(lattice.shape, dtype=bool, order="F")
+    for block, mask, r, (J, I) in zip(blocks, masks, starts, sizes):
+        lattice[r : r + J, C - I :] = block
+        if mask is not None:
+            if mask.forbidden.shape != (J, I):
+                raise ValueError("mask shape does not match cost shape")
+            forbidden[r : r + J, C - I :] = mask.forbidden
+    if not np.all(np.isfinite(lattice)):
         raise ValueError("cost matrix contains non-finite entries")
-    if mask is not None:
-        if mask.forbidden.shape != cost.shape:
-            raise ValueError("mask shape does not match cost shape")
-        cost = np.where(mask.forbidden, np.inf, cost)
-    return cost
+    # Row and column of each cell within its block: row J_n is the separator,
+    # a negative column the prefix.
+    row = np.arange(lattice.shape[0]) - np.repeat(starts, heights)
+    j_row = np.repeat(j_sizes, heights)
+    col = np.arange(C) - (C - np.repeat(i_sizes, heights))[:, None]
+    forbidden |= (row[:, None] > col) | (row == j_row)[:, None]
+    forbidden[:, -1] |= row < j_row - 1
+    lattice[forbidden] = np.inf
+    lattice[(row == 0)[:, None] & (col < 0)] = -0.0
+    values, rows = dp_align(lattice, starts)
+    paths = []
+    for n, (J, I) in enumerate(sizes):
+        if not np.isfinite(values[n]):
+            raise InfeasibleError("mask forbids every monotone path")
+        paths.append(AlignmentPath(rows[n, C - I :], j_count=J))
+    return paths, values
 
 
 def minimize_linear(cost, mask=None):
@@ -114,14 +155,8 @@ def minimize_linear(cost, mask=None):
     Returns (path, value).  Raises InfeasibleError when no path avoids the
     forbidden cells (including the case J > I).
     """
-    J, I = np.shape(cost)
-    if J > I:
-        raise InfeasibleError(f"no monotone path exists for J={J} > I={I}")
-    c = _masked_cost(cost, mask)
-    value, assignment = dp_align(c)
-    if not np.isfinite(value):
-        raise InfeasibleError("mask forbids every monotone path")
-    return AlignmentPath(assignment, j_count=J), float(value)
+    paths, values = _sweep([np.asarray(cost, dtype=np.float64)], [mask])
+    return paths[0], float(values[0])
 
 
 def is_feasible(j_count, i_count, mask=None):
@@ -151,15 +186,15 @@ def lmo_blocks(cost, layout, masks=None):
     cost is (J_total, I_total); only the diagonal blocks are read.  masks
     is an optional per-stream list of CellMask or None; a hard-supervised
     stream's mask admits a single path, which the oracle then returns.
+    Every stream is solved by the same sweep (see _sweep).
 
     Returns (paths, value) with value the sum of block optima.
     """
-    paths = []
+    n_streams = layout.n_streams
+    blocks = [layout.block(cost, n) for n in range(n_streams)]
+    paths, values = _sweep(blocks, masks if masks is not None else [None] * n_streams)
     total = 0.0
-    for n in range(layout.n_streams):
-        m = masks[n] if masks is not None else None
-        p, v = minimize_linear(layout.block(cost, n), m)
-        paths.append(p)
+    for v in values.tolist():
         total += v
     return paths, total
 

@@ -20,8 +20,13 @@ class PriorConfig:
     alpha: float = 0.0
 
     def __post_init__(self):
-        # sigma^2 divides: a sigma whose square is 0 or inf is as bad as 0.
-        if not (self.sigma > 0 and 0 < self.sigma * self.sigma < np.inf):
+        # sigma^2 divides: a sigma whose square is 0 or inf is as bad as 0.  The
+        # square is the float one: an int's exact square can stay below inf.
+        try:
+            sigma = float(self.sigma)
+        except OverflowError:
+            sigma = np.inf
+        if not (self.sigma > 0 and 0 < sigma * sigma < np.inf):
             raise ValueError(f"sigma and sigma^2 must be positive and finite, got {self.sigma!r}")
         if self.alpha < 0:
             raise ValueError("alpha must be non-negative")

@@ -135,13 +135,20 @@ class _ActiveSet:
         H_kl = (1/I) <psi V_k Q, psi V_l> + (1/sigma^2) <V_k 1, V_l 1>,
         b_k  = -(1/sigma^2) <mu, V_k 1> + alpha <Y_c, V_k>.
 
-    Only the paths and H and b are kept, not the images psi V_k Q.
+    Only the paths and H and b are kept, not the images psi V_k Q.  Stream
+    n's vertex indices, in ascending order, are ``members[n]``, and their
+    assignments and durations are the rows of ``rows[n]`` and
+    ``durations[n]``; ``lookup`` maps (stream, assignment bytes) to the index.
     """
 
     def __init__(self, instance):
         self.instance = instance
-        self.paths = []
+        layout = instance.layout
+        self.lookup = {}
         self.stream = np.zeros(0, dtype=np.int64)
+        self.members = [np.zeros(0, dtype=np.int64) for _ in range(layout.n_streams)]
+        self.rows = [np.zeros((0, i), dtype=np.int64) for i in layout.i_sizes]
+        self.durations = [np.zeros((0, j), dtype=np.int64) for j in layout.j_sizes]
         self.w = np.zeros(0)
         self.h = np.zeros((0, 0))
         self.b = np.zeros(0)
@@ -152,12 +159,12 @@ class _ActiveSet:
         return float(0.5 * (w @ (self.h @ w)) + self.b @ w + self.const)
 
     def matrix(self):
-        """The iterate Y = sum_k w_k V_k."""
+        """The iterate Y = sum_k w_k V_k, each cell summed in vertex order."""
         layout = self.instance.layout
         y = np.zeros((layout.j_total, layout.i_total))
-        for k in np.flatnonzero(self.w):
-            p = self.paths[k]
-            layout.block(y, self.stream[k])[p.assignment, np.arange(p.i_count)] += self.w[k]
+        for n in range(layout.n_streams):
+            cells = (self.rows[n], np.arange(layout.i_sizes[n]))
+            np.add.at(layout.block(y, n), cells, self.w[self.members[n], None])
         return y
 
     def gap(self, grad, v_paths):
@@ -166,20 +173,18 @@ class _ActiveSet:
         gap = 0.0
         for n, v in enumerate(v_paths):
             g_n = layout.block(grad, n)
-            y_dot = sum(
-                self.w[k] * _path_sum(g_n, self.paths[k])
-                for k in np.flatnonzero(self.stream == n)
-            )
+            sums = g_n[self.rows[n], np.arange(layout.i_sizes[n])].sum(axis=1)
+            y_dot = sum(self.w[self.members[n]] * sums)
             gap += y_dot - _path_sum(g_n, v)
         return float(gap)
 
     def index(self, n, path):
         """Index of stream n's vertex ``path``, added with weight 0 if new."""
-        for k in np.flatnonzero(self.stream == n):
-            if np.array_equal(self.paths[k].assignment, path.assignment):
-                return int(k)
-        self._add(n, path)
-        return len(self.paths) - 1
+        key = (n, path.assignment.tobytes())
+        if key not in self.lookup:
+            self.lookup[key] = self.stream.size
+            self._add(n, path)
+        return self.lookup[key]
 
     def _add(self, n, path):
         inst, layout = self.instance, self.instance.layout
@@ -187,28 +192,27 @@ class _ActiveSet:
         i0, j0 = layout.i_offsets[n], layout.j_offsets[n]
         # psi V Q of the new vertex needs only stream n's rows of Q.
         image = inst.psi[:, j0 + path.assignment] @ inst.kernel.q_matrix[i0 : i0 + path.i_count]
-        self.paths.append(path)
+        size = self.stream.size + 1
         self.stream = np.append(self.stream, n)
-        row = np.empty(len(self.paths))
+        self.members[n] = np.append(self.members[n], size - 1)
+        self.rows[n] = np.vstack([self.rows[n], path.assignment])
+        d_new = path.durations()
+        self.durations[n] = np.vstack([self.durations[n], d_new])
+        row = np.empty(size)
         for m in range(layout.n_streams):
-            members = np.flatnonzero(self.stream == m)
+            members = self.members[m]
             if members.size == 0:
                 continue
             i0m, j0m = layout.i_offsets[m], layout.j_offsets[m]
             im, jm = layout.i_sizes[m], layout.j_sizes[m]
             c = inst.psi[:, j0m : j0m + jm].T @ image[:, i0m : i0m + im]
-            rows = np.stack([self.paths[k].assignment for k in members])
-            row[members] = c[rows, np.arange(im)].sum(axis=1)
+            row[members] = c[self.rows[m], np.arange(im)].sum(axis=1)
         row /= layout.i_total
-        members = np.flatnonzero(self.stream == n)
-        durations = np.stack([self.paths[k].durations() for k in members])
-        d_new = path.durations()
-        row[members] += durations @ d_new / sigma2
+        row[self.members[n]] += self.durations[n] @ d_new / sigma2
         j_slice = slice(j0, j0 + layout.j_sizes[n])
         b_new = -float(inst.priors.mu[j_slice] @ d_new) / sigma2
         b_new += inst.priors.alpha * _path_sum(layout.block(inst.band, n), path)
 
-        size = len(self.paths)
         h = np.empty((size, size))
         h[:-1, :-1] = self.h
         h[-1, :] = row
@@ -218,13 +222,24 @@ class _ActiveSet:
         self.w = np.append(self.w, 0.0)
 
     def prune(self):
-        """Drop the vertices of weight zero."""
-        keep = np.flatnonzero(self.w > 0)
-        self.paths = [self.paths[k] for k in keep]
+        """Drop the vertices of weight zero and number the rest in the same order."""
+        alive = self.w > 0
+        keep = np.flatnonzero(alive)
+        renumbered = np.cumsum(alive) - 1
         self.stream = self.stream[keep]
         self.w = self.w[keep]
         self.h = self.h[np.ix_(keep, keep)]
         self.b = self.b[keep]
+        for m, members in enumerate(self.members):
+            live = alive[members]
+            self.members[m] = renumbered[members[live]]
+            self.rows[m] = self.rows[m][live]
+            self.durations[m] = self.durations[m][live]
+        self.lookup = {
+            (m, row.tobytes()): k
+            for m, members in enumerate(self.members)
+            for k, row in zip(members.tolist(), self.rows[m])
+        }
 
     def corrected_weights(self, v_paths):
         """Add v_paths to the active sets; weights after a step towards them and a full correction.
@@ -254,19 +269,23 @@ def _sum_zero_basis(stream_f):
     """Orthonormal basis of the vectors whose per-stream sums are zero.
 
     stream_f lists the stream of each entry; a stream of m entries
-    contributes the m - 1 columns of a Helmert basis on them.
+    contributes the m - 1 columns of a Helmert basis on them, the streams in
+    ascending order.  Column k of a stream's block is 1/sqrt(k(k+1)) on its
+    first k entries, -k/sqrt(k(k+1)) on entry k + 1 and 0 elsewhere.
     """
-    streams = np.unique(stream_f)
-    z = np.zeros((stream_f.size, stream_f.size - streams.size))
-    col = 0
-    for n in streams:
-        idx = np.flatnonzero(stream_f == n)
-        k = np.arange(1, idx.size)
-        helmert = np.triu(np.ones((idx.size, k.size)))
-        helmert[k, k - 1] = -k
-        z[idx, col : col + k.size] = helmert / np.sqrt(k * (k + 1))
-        col += k.size
-    return z
+    order = np.argsort(stream_f, kind="stable")
+    streams, first, counts = np.unique(stream_f[order], return_index=True, return_counts=True)
+    # Position of each entry among its stream's entries.
+    position = np.empty(stream_f.size, dtype=np.int64)
+    position[order] = np.arange(stream_f.size) - np.repeat(first, counts)
+    # Stream and k of each column.
+    col_stream = np.repeat(streams, counts - 1)
+    k = np.arange(col_stream.size) - np.repeat(first - np.arange(streams.size), counts - 1) + 1
+    norm = np.sqrt(k * (k + 1))
+    same = stream_f[:, None] == col_stream
+    pos = position[:, None]
+    z = np.where(same & (pos < k), 1.0 / norm, 0.0)
+    return np.where(same & (pos == k), -k / norm, z)
 
 
 def _face_direction(h, g, free, stream):

@@ -1,8 +1,9 @@
 """Brute-force references the tests check the package against.
 
-Exhaustive path enumeration, the vertex matrix of a path, the joint ridge
-objective, the three rounding criteria and a duality-gap certificate of a
-solve.  Each is written independently of the fast path it arbitrates; none
+Exhaustive path enumeration, the per-stream DP and linear oracle, the
+Helmert basis of the weight-space correction, the vertex matrix of a path,
+the joint ridge objective, the three rounding criteria and a duality-gap
+certificate of a solve.  Each is written independently of the fast path it arbitrates; none
 is used by the package itself.
 """
 
@@ -11,7 +12,7 @@ from math import comb
 
 import numpy as np
 
-from seqalign.polytope import AlignmentPath, blocks_to_matrix, lmo_blocks
+from seqalign.polytope import AlignmentPath, InfeasibleError, blocks_to_matrix, lmo_blocks
 from seqalign.priors import band_penalty, duration_penalty
 
 # Hard caps for exhaustive enumeration.
@@ -60,6 +61,72 @@ def enumerate_paths(i_count, j_count, mask=None):
 def path_count(i_count, j_count):
     """Number of unmasked vertices, C(I-1, J-1)."""
     return comb(i_count - 1, j_count - 1)
+
+
+def dp_align_single(cost):
+    """Suffix-cost DP of one (J, I) cost block, vectorized over its rows.
+
+    Forbidden cells carry +inf.  Returns (value, path) where path[i] is the
+    0-based row assigned to column i.  Ties prefer staying on the current
+    row.
+    """
+    J, I = cost.shape
+    S = np.full((J, I), np.inf)
+    S[J - 1, I - 1] = cost[J - 1, I - 1]
+    shifted = np.empty(J)
+    for i in range(I - 2, -1, -1):
+        nxt = S[:, i + 1]
+        shifted[:-1] = nxt[1:]
+        shifted[-1] = np.inf
+        jlo = max(0, J - I + i)
+        jhi = min(J - 1, i)
+        sl = slice(jlo, jhi + 1)
+        S[sl, i] = cost[sl, i] + np.minimum(nxt[sl], shifted[sl])
+    value = S[0, 0]
+    path = np.empty(I, dtype=np.int64)
+    path[0] = 0
+    j = 0
+    for i in range(1, I):
+        if j + 1 < J and S[j + 1, i] < S[j, i]:
+            j += 1
+        path[i] = j
+    return value, path
+
+
+def lmo_blocks_single(cost, layout, masks=None):
+    """Stream by stream, each block's (path, value) from dp_align_single."""
+    out = []
+    for n in range(layout.n_streams):
+        block = np.array(layout.block(cost, n), dtype=np.float64)
+        J, I = block.shape
+        if J > I:
+            raise InfeasibleError(f"no monotone path exists for J={J} > I={I}")
+        if masks is not None and masks[n] is not None:
+            block[masks[n].forbidden] = np.inf
+        value, path = dp_align_single(block)
+        if not np.isfinite(value):
+            raise InfeasibleError("mask forbids every monotone path")
+        out.append((AlignmentPath(path, j_count=J), float(value)))
+    return out
+
+
+def sum_zero_basis(stream_f):
+    """Orthonormal basis of the vectors whose per-stream sums are zero, stream by stream.
+
+    A stream of m entries contributes the m - 1 columns of a Helmert basis
+    on them, the streams in ascending order.
+    """
+    streams = np.unique(stream_f)
+    z = np.zeros((stream_f.size, stream_f.size - streams.size))
+    col = 0
+    for n in streams:
+        idx = np.flatnonzero(stream_f == n)
+        k = np.arange(1, idx.size)
+        helmert = np.triu(np.ones((idx.size, k.size)))
+        helmert[k, k - 1] = -k
+        z[idx, col : col + k.size] = helmert / np.sqrt(k * (k + 1))
+        col += k.size
+    return z
 
 
 def ridge_residual(psi, y, phi, w, lam):

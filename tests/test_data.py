@@ -549,6 +549,7 @@ class TestCli:
             ("align", {"mu": 1e300, "mu_background": None}, "FloatingPointError"),
             ("align", {"kappa": 1e300}, "FloatingPointError"),
             ("align", {"sigma": 1e-160}, "FloatingPointError"),
+            ("align", {"lambda": 1e-300}, "LinAlgError"),
             ("sweep", 3, "ValueError"),
             ("sweep", {"n_streams": 1}, "ValueError"),
             ("sweep", "unknown-key", "ValueError"),
@@ -558,7 +559,7 @@ class TestCli:
              "list-kappa", "bool-beta", "string-mu", "unknown-rounding",
              "unknown-supervision", "mu-with-mu-background", "misspelt-lambda",
              "infinite-lambda", "nan-sigma", "underflowing-sigma", "overflowing-sigma",
-             "huge-mu", "huge-kappa", "tiny-sigma", "int-synth",
+             "huge-mu", "huge-kappa", "tiny-sigma", "tiny-lambda", "int-synth",
              "synth-missing-keys", "synth-unknown-key", "synth-string-size"],
     )
     @pytest.mark.filterwarnings("error")  # a warning is one more stderr line
@@ -586,6 +587,11 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith(f"{error}: ")
+        if error in ("FloatingPointError", "LinAlgError"):
+            # The line names the stage, and every value the arithmetic read.
+            assert " in assemble with " in err[0] or " in solve with " in err[0]
+            for key, value in edit.items():
+                assert f"{key}={value!r}" in err[0]
 
     @pytest.mark.parametrize("edit", [{"beta": 2}, {"kappa": -1}, {"lambda": 0}],
                              ids=["beta", "kappa", "lambda"])

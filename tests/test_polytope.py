@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqalign._kernels import _dp_align_numpy, dp_align
+from seqalign._kernels import _dp_align_loops, dp_align
 from seqalign.polytope import (
     AlignmentPath,
     CellMask,
@@ -16,7 +16,13 @@ from seqalign.polytope import (
 )
 from seqalign.supervision import fix_assignment_mask
 
-from oracles import enumerate_paths, matrix_to_path, path_count, path_to_matrix
+from oracles import (
+    enumerate_paths,
+    lmo_blocks_single,
+    matrix_to_path,
+    path_count,
+    path_to_matrix,
+)
 
 
 def path_cost(path, cost):
@@ -247,16 +253,140 @@ class TestLmoBlocks:
         assert y[:2, 3:].sum() == 0 and y[2:, :3].sum() == 0
 
 
+def random_layout_case(rng, n_streams, max_i=30, integer=False, p_forbid=0.0):
+    """A random multi-stream cost matrix, layout and per-stream masks (None or random)."""
+    i_sizes, j_sizes = [], []
+    for _ in range(n_streams):
+        kind = rng.integers(4)
+        i = 1 if kind == 0 else int(rng.integers(1, max_i + 1))
+        j = {0: 1, 1: i, 2: 1}.get(int(kind), int(rng.integers(1, i + 1)))
+        i_sizes.append(i)
+        j_sizes.append(j)
+    layout = StreamLayout(i_sizes=i_sizes, j_sizes=j_sizes)
+    shape = (layout.j_total, layout.i_total)
+    if integer:
+        cost = rng.integers(-2, 3, size=shape).astype(float)
+    else:
+        cost = rng.standard_normal(shape)
+    masks = [
+        CellMask(rng.random((j, i)) < p_forbid) if p_forbid and rng.random() < 0.7 else None
+        for i, j in zip(i_sizes, j_sizes)
+    ]
+    return cost, layout, masks
+
+
+class TestLmoBlocksSweep:
+    """The one sweep over all streams against the per-stream DP in oracles.py."""
+
+    def assert_matches_single(self, cost, layout, masks):
+        ref = lmo_blocks_single(cost, layout, masks)
+        paths, value = lmo_blocks(cost, layout, masks)
+        total = 0.0
+        for p, (q, v) in zip(paths, ref):
+            np.testing.assert_array_equal(p.assignment, q.assignment)
+            assert p.j_count == q.j_count
+            total += v
+        assert value == total
+
+    def test_matches_single_stream_dp(self):
+        rng = np.random.default_rng(11)
+        for _ in range(300):
+            cost, layout, _ = random_layout_case(rng, int(rng.integers(1, 7)))
+            self.assert_matches_single(cost, layout, None)
+
+    def test_matches_single_stream_dp_with_ties(self):
+        rng = np.random.default_rng(12)
+        for _ in range(300):
+            cost, layout, _ = random_layout_case(rng, int(rng.integers(1, 7)), integer=True)
+            self.assert_matches_single(cost, layout, None)
+
+    def test_matches_single_stream_dp_with_forbidden_cells(self):
+        rng = np.random.default_rng(14)
+        checked = 0
+        while checked < 300:
+            cost, layout, masks = random_layout_case(
+                rng, int(rng.integers(1, 6)), max_i=12, integer=bool(rng.integers(2)),
+                p_forbid=0.25,
+            )
+            try:
+                lmo_blocks_single(cost, layout, masks)
+            except InfeasibleError as e:
+                with pytest.raises(InfeasibleError, match=str(e)):
+                    lmo_blocks(cost, layout, masks)
+                continue
+            self.assert_matches_single(cost, layout, masks)
+            checked += 1
+
+    def test_hard_pinned_streams(self):
+        rng = np.random.default_rng(15)
+        for _ in range(50):
+            cost, layout, _ = random_layout_case(rng, int(rng.integers(2, 6)), max_i=7)
+            masks, pinned = [], []
+            for i, j in zip(layout.i_sizes, layout.j_sizes):
+                paths = enumerate_paths(i, j)
+                p = paths[int(rng.integers(len(paths)))]
+                pin = rng.random() < 0.5
+                pinned.append(p if pin else None)
+                masks.append(fix_assignment_mask(p) if pin else None)
+            self.assert_matches_single(cost, layout, masks)
+            paths, _ = lmo_blocks(cost, layout, masks)
+            for p, q in zip(paths, pinned):
+                if q is not None:
+                    np.testing.assert_array_equal(p.assignment, q.assignment)
+
+    def test_matches_enumeration(self):
+        rng = np.random.default_rng(16)
+        for _ in range(60):
+            cost, layout, masks = random_layout_case(rng, int(rng.integers(1, 5)), max_i=7,
+                                                     p_forbid=0.2)
+            masks = [m if m is None or enumerate_paths(i, j, m) else None
+                     for m, i, j in zip(masks, layout.i_sizes, layout.j_sizes)]
+            paths, value = lmo_blocks(cost, layout, masks)
+            total = 0.0
+            for n, p in enumerate(paths):
+                block = layout.block(cost, n)
+                best = min(path_cost(q, block)
+                           for q in enumerate_paths(p.i_count, p.j_count, masks[n]))
+                assert path_cost(p, block) == pytest.approx(best, abs=1e-12)
+                total += best
+            assert value == pytest.approx(total, abs=1e-12)
+
+    def test_infeasible_stream_raises_todays_messages(self):
+        layout = StreamLayout(i_sizes=[4, 2], j_sizes=[2, 3])
+        with pytest.raises(InfeasibleError, match=r"^no monotone path exists for J=3 > I=2$"):
+            lmo_blocks(np.zeros((5, 6)), layout)
+        layout = StreamLayout(i_sizes=[4, 3], j_sizes=[2, 2])
+        closed = CellMask(np.ones((2, 3), dtype=bool))
+        with pytest.raises(InfeasibleError, match=r"^mask forbids every monotone path$"):
+            lmo_blocks(np.zeros((4, 7)), layout, [None, closed])
+        # Only the last column of the last row is open: no path reaches it from row 0.
+        edge = np.ones((2, 3), dtype=bool)
+        edge[1, 2] = False
+        with pytest.raises(InfeasibleError, match=r"^mask forbids every monotone path$"):
+            lmo_blocks(np.zeros((4, 7)), layout, [None, CellMask(edge)])
+
+    def test_rejects_non_finite_block(self):
+        layout = StreamLayout(i_sizes=[3, 3], j_sizes=[2, 2])
+        cost = np.zeros((4, 6))
+        cost[3, 5] = np.inf
+        with pytest.raises(ValueError, match="non-finite"):
+            lmo_blocks(cost, layout)
+        cost = np.zeros((4, 6))
+        cost[3, 0] = np.nan  # off-block: never read
+        lmo_blocks(cost, layout)
+
+
 class TestKernelBackends:
-    def test_numba_and_numpy_agree(self):
+    def test_compiled_loops_and_numpy_agree(self):
+        # _dp_align_loops is the source numba compiles; run here as plain Python.
         rng = np.random.default_rng(7)
         for _ in range(50):
-            i = int(rng.integers(1, 30))
-            j = int(rng.integers(1, min(i, 12) + 1))
-            cost = rng.standard_normal((j, i))
-            cost[rng.random((j, i)) < 0.2] = np.inf
-            v1, p1 = dp_align(np.ascontiguousarray(cost))
-            v2, p2 = _dp_align_numpy(cost)
-            if np.isfinite(v1) or np.isfinite(v2):
-                assert v1 == pytest.approx(v2, abs=1e-12)
-                np.testing.assert_array_equal(p1, p2)
+            rows = int(rng.integers(1, 12))
+            cols = int(rng.integers(1, 20))
+            cost = rng.standard_normal((rows, cols))
+            cost[rng.random((rows, cols)) < 0.2] = np.inf
+            starts = np.sort(rng.choice(rows, size=int(rng.integers(1, rows + 1)), replace=False))
+            v1, p1 = dp_align(cost, starts)
+            v2, p2 = _dp_align_loops(cost, starts)
+            np.testing.assert_array_equal(v1, v2)
+            np.testing.assert_array_equal(p1, p2)

@@ -38,6 +38,10 @@ class TestDurationPenalty:
         with pytest.raises(ValueError):
             PriorConfig(mu=np.ones(2), sigma=1e200)  # sigma^2 overflows to inf
         with pytest.raises(ValueError):
+            PriorConfig(mu=np.ones(2), sigma=10**200)  # float(sigma)^2 overflows to inf
+        with pytest.raises(ValueError):
+            PriorConfig(mu=np.ones(2), sigma=10**400)  # float(sigma) overflows
+        with pytest.raises(ValueError):
             PriorConfig(mu=np.ones(2), sigma=float("nan"))
         with pytest.raises(ValueError):
             PriorConfig(mu=np.array([1.0, -1.0]), sigma=1.0)

@@ -6,8 +6,12 @@ import pytest
 from seqalign import pipeline
 from seqalign.core import fit_model
 from seqalign.priors import band_penalty, duration_penalty
+from seqalign.data import Hyperparameters
+from seqalign.polytope import AlignmentPath
 from seqalign.solver import (
+    _ActiveSet,
     _minimize_on_simplices,
+    _sum_zero_basis,
     exact_line_search,
     gradient,
     objective,
@@ -15,8 +19,14 @@ from seqalign.solver import (
 )
 from seqalign.supervision import assemble
 
-from conftest import make_instance
-from oracles import enumerate_paths, path_to_matrix, reference_certificate, ridge_residual
+from conftest import make_instance, make_stream
+from oracles import (
+    enumerate_paths,
+    path_to_matrix,
+    reference_certificate,
+    ridge_residual,
+    sum_zero_basis,
+)
 
 
 def random_hull_point(rng, instance):
@@ -322,3 +332,85 @@ def test_simplex_correction_reaches_kkt_point():
             assert np.all(g_n[w_n > 0] <= g_n.min() + 1e-9)
         f = lambda v: 0.5 * v @ h @ v + b @ v
         assert f(w) <= f(w0)
+
+
+def test_sum_zero_basis_matches_reference_bit_for_bit():
+    rng = np.random.default_rng(17)
+    for _ in range(300):
+        n_streams = int(rng.integers(1, 7))
+        ids = rng.choice(20, size=n_streams, replace=False)
+        stream_f = np.repeat(ids, rng.integers(1, 9, size=n_streams))
+        rng.shuffle(stream_f)
+        z, ref = _sum_zero_basis(stream_f), sum_zero_basis(stream_f)
+        assert z.shape == ref.shape
+        np.testing.assert_array_equal(z.view(np.int64), ref.view(np.int64))
+
+
+class TestActiveSet:
+    @staticmethod
+    def instance(rng):
+        # Three streams of (J, I) = (3, 6), (3, 6) and (5, 8).
+        streams = [
+            replace(make_stream(rng, i, s), id=f"s{n}")
+            for n, (i, s) in enumerate([(6, 1), (6, 1), (8, 2)])
+        ]
+        hp = Hyperparameters(lam=0.1, sigma=2.0, alpha=0.1, beta=0.3, mu_background=None)
+        return assemble(streams, hp)
+
+    @staticmethod
+    def interleaved_vertices(instance, per_stream=3):
+        layout = instance.layout
+        candidates = [enumerate_paths(i, j)[:per_stream]
+                      for i, j in zip(layout.i_sizes, layout.j_sizes)]
+        return [(n, candidates[n][r]) for r in range(per_stream) for n in range(len(candidates))]
+
+    def test_index_returns_existing_vertex_or_adds_one(self):
+        inst = self.instance(np.random.default_rng(18))
+        active = _ActiveSet(inst)
+        vertices = self.interleaved_vertices(inst)
+        assert [active.index(n, p) for n, p in vertices] == list(range(len(vertices)))
+        copies = [(n, AlignmentPath(p.assignment.copy(), p.j_count)) for n, p in vertices]
+        assert [active.index(n, p) for n, p in copies] == list(range(len(vertices)))
+        assert active.stream.size == active.w.size == len(vertices)
+        # The same assignment in another stream of the same shape is another vertex.
+        stream_0 = [p for n, p in vertices if n == 0]
+        extra = next(p for p in enumerate_paths(6, 3) if not any(
+            np.array_equal(p.assignment, q.assignment) for n, q in vertices if n == 1))
+        assert active.index(0, stream_0[0]) == 0
+        assert active.index(1, extra) == len(vertices)
+        assert active.index(0, extra) == len(vertices) + 1
+
+    def test_prune_renumbers_lookups_and_stream_arrays(self):
+        rng = np.random.default_rng(19)
+        inst = self.instance(rng)
+        active = _ActiveSet(inst)
+        vertices = self.interleaved_vertices(inst)
+        for n, p in vertices:
+            active.index(n, p)
+        h, b = active.h.copy(), active.b.copy()
+        dead = [0, 4, 5]
+        active.w = rng.random(len(vertices)) + 0.1
+        active.w[dead] = 0.0
+        keep = np.flatnonzero(active.w > 0)
+        active.prune()
+
+        kept = [vertices[k] for k in keep]
+        for k, (n, p) in enumerate(kept):
+            assert active.index(n, p) == k
+        np.testing.assert_array_equal(active.stream, [n for n, _ in kept])
+        np.testing.assert_array_equal(active.h, h[np.ix_(keep, keep)])
+        np.testing.assert_array_equal(active.b, b[keep])
+        for n in range(inst.layout.n_streams):
+            members = np.flatnonzero(active.stream == n)
+            np.testing.assert_array_equal(active.members[n], members)
+            paths = [kept[k][1] for k in members]
+            np.testing.assert_array_equal(active.rows[n], [p.assignment for p in paths])
+            np.testing.assert_array_equal(active.durations[n], [p.durations() for p in paths])
+
+        # A pruned vertex comes back at the end, with its H row and b entry as before
+        # (up to round-off where the other vertex's row computed the entry).
+        n, p = vertices[dead[0]]
+        assert active.index(n, p) == keep.size
+        np.testing.assert_allclose(active.h[-1, :-1], h[dead[0], keep], rtol=1e-12, atol=0)
+        assert active.h[-1, -1] == h[dead[0], dead[0]]
+        assert active.b[-1] == b[dead[0]]
