@@ -3,9 +3,11 @@
 ``dp_align(cost, starts)`` sweeps a (R, C) lattice that holds every
 stream's cost block (polytope._sweep builds it) column by column, all
 streams at once, and walks each stream's path forward from its row
-``starts[n]`` of column 0.  The DP is the only loop that dominates
-runtime at scale.  It runs as compiled loops when numba imports and as a
-numpy column sweep otherwise; both return identical paths.
+``starts[n]`` of column 0.  The lattice's last row must be +inf, so that
+no path steps past it, and the sweep overwrites the lattice with the
+suffix costs.  The DP is the only loop that dominates runtime at scale.
+It runs as compiled loops when numba imports and as a numpy column sweep
+otherwise; both return identical paths.
 """
 
 import numpy as np
@@ -21,42 +23,36 @@ except ImportError:
 def _dp_align_numpy(cost, starts):
     """Suffix-cost DP over monotone unit-step paths, vectorized over the lattice's rows.
 
-    ``cost`` is a (R, C) float64 lattice; forbidden cells carry +inf, and
-    its last row is never stepped past.  ``starts`` holds each path's row
-    in column 0.  Returns (values, paths): values[n] the optimal suffix cost
-    from (starts[n], 0), and paths[n, c] the path's row in column c relative
-    to starts[n].  Ties prefer staying on the current row.
+    ``cost`` is a (R, C) float64 lattice, best in Fortran order, whose
+    forbidden cells and last row carry +inf; each cell is overwritten with
+    the optimal cost from it to the last column.  ``starts`` holds each
+    path's row in column 0.  Returns (values, paths): values[n] the optimal
+    cost from (starts[n], 0), and paths[n, c] the path's row in column c
+    relative to starts[n].  Ties prefer staying on the current row.
     """
-    R, C = cost.shape
-    cost_t = np.ascontiguousarray(cost.T)
-    # s[c, r] is the suffix cost from (r, c); row R is +inf, so row R - 1 never steps down.
-    s = np.empty((C, R + 1))
-    s[:, R] = np.inf
-    s[C - 1, :R] = cost_t[C - 1]
+    s = cost
+    R, C = s.shape
     for c in range(C - 2, -1, -1):
-        s[c, :R] = cost_t[c] + np.minimum(s[c + 1, :R], s[c + 1, 1:])
-    down = s[:, 1:] < s[:, :R]
+        s[: R - 1, c] += np.minimum(s[: R - 1, c + 1], s[1:, c + 1])
+    down = s[1:] < s[:-1]
     j = np.array(starts, dtype=np.int64)
     paths = np.empty((C, j.size), dtype=np.int64)
     paths[0] = j
     for c in range(1, C):
-        j += down[c, j]
+        j += down[j, c]
         paths[c] = j
-    return s[0, starts], (paths - starts).T.copy()
+    return s[starts, 0], (paths - starts).T.copy()
 
 
 def _dp_align_loops(cost, starts):
-    R, C = cost.shape
-    s = np.empty((R + 1, C))
-    s[R, :] = np.inf
-    for r in range(R):
-        s[r, C - 1] = cost[r, C - 1]
+    s = cost
+    R, C = s.shape
     for c in range(C - 2, -1, -1):
-        for r in range(R):
+        for r in range(R - 1):
             best = s[r, c + 1]
             if s[r + 1, c + 1] < best:
                 best = s[r + 1, c + 1]
-            s[r, c] = cost[r, c] + best
+            s[r, c] += best
     values = np.empty(starts.size)
     paths = np.empty((starts.size, C), dtype=np.int64)
     for n in range(starts.size):

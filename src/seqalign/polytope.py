@@ -100,7 +100,7 @@ def _sweep(blocks, masks):
 
     The blocks are stacked into one lattice over the widest block's C
     columns: block n's J_n rows, then a row of +inf that keeps its last row
-    from stepping into block n + 1.  Each block is right-aligned.  On the
+    from stepping into block n + 1 (or past the lattice).  Each block is right-aligned.  On the
     C - I_n columns before it only its row 0 is open, at cost -0.0, which
     leaves any sum unchanged, so the DP reaches the block's first cell with
     the block's own value.  The block's cells above its diagonal (j > i),

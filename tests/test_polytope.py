@@ -377,16 +377,17 @@ class TestLmoBlocksSweep:
 
 
 class TestKernelBackends:
-    def test_compiled_loops_and_numpy_agree(self):
+    def test_numba_and_numpy_agree(self):
         # _dp_align_loops is the source numba compiles; run here as plain Python.
         rng = np.random.default_rng(7)
         for _ in range(50):
             rows = int(rng.integers(1, 12))
             cols = int(rng.integers(1, 20))
-            cost = rng.standard_normal((rows, cols))
-            cost[rng.random((rows, cols)) < 0.2] = np.inf
+            cost = rng.standard_normal((rows + 1, cols))
+            cost[rng.random((rows + 1, cols)) < 0.2] = np.inf
+            cost[-1] = np.inf
             starts = np.sort(rng.choice(rows, size=int(rng.integers(1, rows + 1)), replace=False))
-            v1, p1 = dp_align(cost, starts)
-            v2, p2 = _dp_align_loops(cost, starts)
+            v1, p1 = dp_align(np.asfortranarray(cost), starts)
+            v2, p2 = _dp_align_loops(cost.copy(), starts)
             np.testing.assert_array_equal(v1, v2)
             np.testing.assert_array_equal(p1, p2)
