@@ -1,9 +1,9 @@
 """Hot numeric kernel: one dynamic program over a stack of alignment lattices.
 
-``dp_align(cost, starts)`` sweeps a (R, C) lattice that holds every
-stream's cost block (polytope._sweep builds it) column by column, all
-streams at once, and walks each stream's path forward from its row
-``starts[n]`` of column 0.  The lattice's last row must be +inf, so that
+``dp_align(cost, starts)`` sweeps a (R, C) lattice that stacks the cost
+blocks of every stream of width C (polytope._sweep builds it) column by
+column, all those streams at once, and walks each stream's path forward
+from its row ``starts[n]`` of column 0.  The lattice's last row must be +inf, so that
 no path steps past it, and the sweep overwrites the lattice with the
 suffix costs.  The DP is the only loop that dominates runtime at scale.
 It runs as compiled loops when numba imports and as a numpy column sweep
@@ -32,15 +32,18 @@ def _dp_align_numpy(cost, starts):
     """
     s = cost
     R, C = s.shape
+    # Column views of the lattice's upper and lower R - 1 rows, made once.
+    top, low = list(s[:-1].T), list(s[1:].T)
+    best = np.empty(R - 1)
     for c in range(C - 2, -1, -1):
-        s[: R - 1, c] += np.minimum(s[: R - 1, c + 1], s[1:, c + 1])
-    down = s[1:] < s[:-1]
-    j = np.array(starts, dtype=np.int64)
-    paths = np.empty((C, j.size), dtype=np.int64)
-    paths[0] = j
+        np.minimum(top[c + 1], low[c + 1], out=best)
+        np.add(top[c], best, out=top[c])
+    down = list((s[1:] < s[:-1]).T)
+    paths = np.empty((C, len(starts)), dtype=np.int64)
+    rows = list(paths)
+    rows[0][:] = starts
     for c in range(1, C):
-        j += down[j, c]
-        paths[c] = j
+        np.add(rows[c - 1], down[c][rows[c - 1]], out=rows[c])
     return s[starts, 0], (paths - starts).T.copy()
 
 

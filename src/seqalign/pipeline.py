@@ -68,18 +68,13 @@ def round_stream(instance, result, n, rounding):
     raise ValueError(f"unknown rounding {rounding!r}; expected one of {ROUNDINGS}")
 
 
-# The hyperparameters the objective's arithmetic reads, by manifest key.
-_ARITHMETIC_KEYS = ("lambda", "sigma", "mu", "mu_background", "alpha", "beta", "kappa")
-
-
 @contextmanager
 def _naming_hyperparameters(stage, hp):
-    """Re-raise an arithmetic failure in ``stage`` as its type, naming the values it read."""
+    """Re-raise an arithmetic failure in ``stage`` as its type, naming every hyperparameter."""
     try:
         yield
     except (ArithmeticError, np.linalg.LinAlgError) as e:
-        values = hp.to_json()
-        named = ", ".join(f"{key}={values[key]!r}" for key in _ARITHMETIC_KEYS)
+        named = ", ".join(f"{key}={value!r}" for key, value in hp.to_json().items())
         raise type(e)(f"{e} in {stage} with hyperparameters {named}") from None
 
 

@@ -5,7 +5,7 @@ J rows (text elements) such that the row index starts at 0, ends at J-1 and
 moves by steps of 0 or 1.  Linear forms over this set are minimized exactly
 by dynamic programming in O(IJ); this is the oracle used by the Frank-Wolfe
 solver and by every rounding procedure.  lmo_blocks stacks the blocks of
-all streams into one lattice, so one DP sweep serves every stream.
+all streams of one width into one lattice, so one DP sweep serves them all.
 """
 
 from dataclasses import dataclass, field
@@ -96,53 +96,54 @@ class StreamLayout:
 
 
 def _sweep(blocks, masks):
-    """Optimal path and value of every (J_n, I_n) cost block, from one DP sweep.
+    """Optimal path and value of every (J_n, I_n) cost block, one DP sweep per width.
 
-    The blocks are stacked into one lattice over the widest block's C
-    columns: block n's J_n rows, then a row of +inf that keeps its last row
-    from stepping into block n + 1 (or past the lattice).  Each block is right-aligned.  On the
-    C - I_n columns before it only its row 0 is open, at cost -0.0, which
-    leaves any sum unchanged, so the DP reaches the block's first cell with
-    the block's own value.  The block's cells above its diagonal (j > i),
-    which that prefix would otherwise enter, and those of its last column
-    above its last row are +inf; no path of the block uses them, and with
-    them closed the sweep computes every other cell as a DP of the block
-    alone would.  Returns (paths, values).
+    The blocks of one width I are stacked into one (sum of J_n + 1, I)
+    lattice: block n's J_n rows, then a row of +inf that keeps its last row
+    from stepping into the next block (or past the lattice).  The cells of a
+    block's last column above its last row are +inf too, so that every path
+    ends on that row.  dp_align then sweeps the lattice once, and computes
+    each reachable cell as a DP of its block alone would.  A lattice holds
+    only its blocks' cells, so a suite whose streams share one width takes
+    one sweep, and one of mixed widths does no more work than stream by
+    stream.  Returns (paths, values) in block order.
     """
-    sizes = [b.shape for b in blocks]
-    for J, I in sizes:
+    for block in blocks:
+        J, I = block.shape
         if J > I:
             raise InfeasibleError(f"no monotone path exists for J={J} > I={I}")
-    j_sizes, i_sizes = np.array(sizes, dtype=np.int64).T
-    C = int(i_sizes.max())
-    heights = j_sizes + 1
-    starts = np.cumsum(heights) - heights
-    # Zeros, so that only a block entry can be non-finite when checked.
-    lattice = np.zeros((int(heights.sum()), C), order="F")
-    forbidden = np.zeros(lattice.shape, dtype=bool, order="F")
-    for block, mask, r, (J, I) in zip(blocks, masks, starts, sizes):
-        lattice[r : r + J, C - I :] = block
-        if mask is not None:
-            if mask.forbidden.shape != (J, I):
-                raise ValueError("mask shape does not match cost shape")
-            forbidden[r : r + J, C - I :] = mask.forbidden
-    if not np.all(np.isfinite(lattice)):
-        raise ValueError("cost matrix contains non-finite entries")
-    # Row and column of each cell within its block: row J_n is the separator,
-    # a negative column the prefix.
-    row = np.arange(lattice.shape[0]) - np.repeat(starts, heights)
-    j_row = np.repeat(j_sizes, heights)
-    col = np.arange(C) - (C - np.repeat(i_sizes, heights))[:, None]
-    forbidden |= (row[:, None] > col) | (row == j_row)[:, None]
-    forbidden[:, -1] |= row < j_row - 1
-    lattice[forbidden] = np.inf
-    lattice[(row == 0)[:, None] & (col < 0)] = -0.0
-    values, rows = dp_align(lattice, starts)
+    by_width = {}
+    for n, block in enumerate(blocks):
+        by_width.setdefault(block.shape[1], []).append(n)
+    values = np.empty(len(blocks))
+    rows = [None] * len(blocks)
+    for I, members in by_width.items():
+        heights = np.array([blocks[n].shape[0] + 1 for n in members])
+        ends = np.cumsum(heights)
+        starts = ends - heights
+        # Zeros, so that only a block entry can be non-finite when checked.
+        lattice = np.zeros((int(ends[-1]), I), order="F")
+        for n, r in zip(members, starts):
+            lattice[r : r + blocks[n].shape[0]] = blocks[n]
+        if not np.all(np.isfinite(lattice)):
+            raise ValueError("cost matrix contains non-finite entries")
+        for n, r in zip(members, starts):
+            if masks[n] is not None:
+                if masks[n].forbidden.shape != blocks[n].shape:
+                    raise ValueError("mask shape does not match cost shape")
+                lattice[r : r + blocks[n].shape[0]][masks[n].forbidden] = np.inf
+        closed_end = np.ones(lattice.shape[0], dtype=bool)
+        closed_end[ends - 2] = False
+        lattice[closed_end, -1] = np.inf
+        lattice[ends - 1] = np.inf
+        values[members], width_rows = dp_align(lattice, starts)
+        for n, r in zip(members, width_rows):
+            rows[n] = r
     paths = []
-    for n, (J, I) in enumerate(sizes):
+    for n, block in enumerate(blocks):
         if not np.isfinite(values[n]):
             raise InfeasibleError("mask forbids every monotone path")
-        paths.append(AlignmentPath(rows[n, C - I :], j_count=J))
+        paths.append(AlignmentPath(rows[n], j_count=block.shape[0]))
     return paths, values
 
 
@@ -186,7 +187,7 @@ def lmo_blocks(cost, layout, masks=None):
     cost is (J_total, I_total); only the diagonal blocks are read.  masks
     is an optional per-stream list of CellMask or None; a hard-supervised
     stream's mask admits a single path, which the oracle then returns.
-    Every stream is solved by the same sweep (see _sweep).
+    The streams of one width share one DP sweep (see _sweep).
 
     Returns (paths, value) with value the sum of block optima.
     """
