@@ -2,7 +2,6 @@
 
 import json
 import time
-from contextlib import contextmanager
 from dataclasses import asdict, replace
 from pathlib import Path
 
@@ -68,22 +67,17 @@ def round_stream(instance, result, n, rounding):
     raise ValueError(f"unknown rounding {rounding!r}; expected one of {ROUNDINGS}")
 
 
-@contextmanager
-def _naming_hyperparameters(stage, hp):
-    """Re-raise an arithmetic failure in ``stage`` as its type, naming every hyperparameter."""
-    try:
-        yield
-    except (ArithmeticError, np.linalg.LinAlgError) as e:
-        named = ", ".join(f"{key}={value!r}" for key, value in hp.to_json().items())
-        raise type(e)(f"{e} in {stage} with hyperparameters {named}") from None
-
-
 def align_streams(streams, hp):
     """Assemble, solve and round under hp; returns (instance, result, predictions)."""
-    with _naming_hyperparameters("assemble", hp):
+    stage = "assemble"
+    try:
         instance = assemble(streams, hp)
-    with _naming_hyperparameters("solve", hp):
+        stage = "solve"
         result = solve(instance, max_iter=hp.max_iter, gap_tol=hp.gap_tol)
+    except (ArithmeticError, np.linalg.LinAlgError) as e:
+        # Re-raised as its type, with the values the user can change.
+        named = ", ".join(f"{key}={value!r}" for key, value in hp.to_json().items())
+        raise type(e)(f"{e} in {stage} with hyperparameters {named}") from None
     preds = [round_stream(instance, result, n, hp.rounding) for n in range(len(streams))]
     return instance, result, preds
 

@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from seqalign import polytope
 from seqalign._kernels import _dp_align_loops, dp_align
 from seqalign.polytope import (
     AlignmentPath,
@@ -276,7 +277,7 @@ def random_layout_case(rng, n_streams, max_i=30, integer=False, p_forbid=0.0):
 
 
 class TestLmoBlocksSweep:
-    """The one sweep over all streams against the per-stream DP in oracles.py."""
+    """The one sweep per stream width against the per-stream DP in oracles.py."""
 
     def assert_matches_single(self, cost, layout, masks):
         ref = lmo_blocks_single(cost, layout, masks)
@@ -350,6 +351,21 @@ class TestLmoBlocksSweep:
                 assert path_cost(p, block) == pytest.approx(best, abs=1e-12)
                 total += best
             assert value == pytest.approx(total, abs=1e-12)
+
+    def test_one_sweep_per_width(self, monkeypatch):
+        # Streams of one width share a lattice of their own rows plus one
+        # separator each; no stream is padded to another's width.
+        shapes = []
+
+        def counting(lattice, starts):
+            shapes.append(lattice.shape)
+            return dp_align(lattice, starts)
+
+        monkeypatch.setattr(polytope, "dp_align", counting)
+        layout = StreamLayout(i_sizes=[5, 3, 5, 5, 3], j_sizes=[2, 3, 5, 1, 1])
+        cost = np.random.default_rng(17).standard_normal((layout.j_total, layout.i_total))
+        self.assert_matches_single(cost, layout, None)
+        assert shapes == [(11, 5), (6, 3)]
 
     def test_infeasible_stream_raises_todays_messages(self):
         layout = StreamLayout(i_sizes=[4, 2], j_sizes=[2, 3])
