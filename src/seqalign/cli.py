@@ -92,10 +92,11 @@ def _parse_values(param, text):
 
 # glibc serves an allocation above its mmap threshold from a mapping of its
 # own, and on the first free of one raises the threshold to that size (up to
-# 32 MiB).  The (J, I) arrays of the solve, 20 MiB on kernel-16x250, then
-# come from the heap, whose freed memory stays resident and may be filled to
-# whole huge pages by the kernel: that align's peak RSS was 304 MiB in some
-# runs and 322 MiB in others.  Fixed thresholds (trim at twice the mmap
+# 32 MiB).  The iterate Y, the one (J, I) array of the solve (the gradient
+# and the band are per-stream blocks), 20 MiB on kernel-16x250, then comes
+# from the heap, whose freed memory stays resident and may be filled to
+# whole huge pages by the kernel, so that one align's peak RSS differed by
+# 18 MiB from run to run.  Fixed thresholds (trim at twice the mmap
 # threshold, as glibc's own raise sets it) return every array of 4 MiB or
 # more to the system when it is freed.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3

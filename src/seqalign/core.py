@@ -41,19 +41,35 @@ def augment_affine(phi):
     return np.vstack([phi, np.ones((1, phi.shape[1]))])
 
 
+# Side of the square tiles in which compute_q averages Q with its transpose.
+_SYMMETRIZE_TILE = 128
+
+
 def compute_q(phi, lam):
     """Build the (I, I) kernel Q of the reduced assignment cost.
 
     The (D, D) Gram matrix phi phi^T + I*lam*Id_D is positive definite for
-    lam > 0, so its Cholesky solve serves every D, including D > I.
+    lam > 0, so its Cholesky solve serves every D, including D > I.  Q is
+    made in the one (I, I) buffer of M = phi^T G^{-1} phi: 0 - M off the
+    diagonal and 1 - M on it, then 0.5 (Q + Q^T) one pair of mirrored tiles
+    at a time.  Each cell gets the bits of Id - M and 0.5 (Q + Q^T), and Q
+    is exactly symmetric.
     """
     phi = _check_features(phi, "phi")
     if lam <= 0:
         raise ValueError("lam must be positive")
     D, I = phi.shape
     gram_factor = cho_factor(phi @ phi.T + I * lam * np.eye(D))
-    q = np.eye(I) - phi.T @ cho_solve(gram_factor, phi)
-    q = 0.5 * (q + q.T)
+    q = phi.T @ cho_solve(gram_factor, phi)
+    np.subtract(0.0, q, out=q)
+    q.flat[:: I + 1] += 1.0
+    t = _SYMMETRIZE_TILE
+    for a in range(0, I, t):
+        for b in range(a, I, t):
+            s = q[a : a + t, b : b + t] + q[b : b + t, a : a + t].T
+            s *= 0.5
+            q[a : a + t, b : b + t] = s
+            q[b : b + t, a : a + t] = s.T
     return CostKernel(q_matrix=q, gram_factor=gram_factor)
 
 

@@ -67,18 +67,27 @@ def round_stream(instance, result, n, rounding):
     raise ValueError(f"unknown rounding {rounding!r}; expected one of {ROUNDINGS}")
 
 
-def align_streams(streams, hp):
-    """Assemble, solve and round under hp; returns (instance, result, predictions)."""
+def align_streams(streams, hp, timings=None):
+    """Assemble, solve and round under hp; returns (instance, result, predictions).
+
+    A dict passed as timings receives the seconds of the three stages as
+    assemble_s, solve_s and round_s.
+    """
     stage = "assemble"
+    t0 = time.perf_counter()
     try:
         instance = assemble(streams, hp)
+        t1 = time.perf_counter()
         stage = "solve"
         result = solve(instance, max_iter=hp.max_iter, gap_tol=hp.gap_tol)
     except (ArithmeticError, np.linalg.LinAlgError) as e:
         # Re-raised as its type, with the values the user can change.
         named = ", ".join(f"{key}={value!r}" for key, value in hp.to_json().items())
         raise type(e)(f"{e} in {stage} with hyperparameters {named}") from None
+    t2 = time.perf_counter()
     preds = [round_stream(instance, result, n, hp.rounding) for n in range(len(streams))]
+    if timings is not None:
+        timings.update(assemble_s=t1 - t0, solve_s=t2 - t1, round_s=time.perf_counter() - t2)
     return instance, result, preds
 
 
@@ -86,6 +95,8 @@ def run_align(manifest, out_dir, overrides=None):
     """The align command: solve a manifest and persist predictions and report.
 
     overrides maps Hyperparameters fields to values that replace the manifest's.
+    The report's timings are the seconds of each stage in order: load_s,
+    assemble_s, solve_s, round_s and write_s (predictions and trace.csv).
     """
     hp = replace(manifest.hyperparameters, **(overrides or {}))
     out_dir = Path(out_dir)
@@ -93,18 +104,17 @@ def run_align(manifest, out_dir, overrides=None):
 
     t0 = time.perf_counter()
     streams = load_streams(manifest)
-    t_load = time.perf_counter() - t0
+    timings = {"load_s": time.perf_counter() - t0}
+    _, result, preds = align_streams(streams, hp, timings)
 
     t0 = time.perf_counter()
-    instance, result, preds = align_streams(streams, hp)
-    t_solve = time.perf_counter() - t0
-
     for s, p in zip(streams, preds):
         io.write_predictions(out_dir / f"pred_{s.id}.csv", p)
     trace_lines = ["iteration,objective,gap"]
     for t, (o, g) in enumerate(zip(result.objective_trace, result.gap_trace)):
         trace_lines.append(f"{t},{o!r},{g!r}")
     (out_dir / "trace.csv").write_text("\n".join(trace_lines) + "\n")
+    timings["write_s"] = time.perf_counter() - t0
     report = {
         "hyperparameters": hp.to_json(),
         "streams": [s.id for s in streams],
@@ -113,7 +123,7 @@ def run_align(manifest, out_dir, overrides=None):
         "stop_reason": result.stop_reason,
         "final_objective": result.objective_trace[-1],
         "final_gap": result.gap_trace[-1],
-        "timings": {"load_s": t_load, "solve_s": t_solve},
+        "timings": timings,
     }
     (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")
     return report
@@ -130,6 +140,11 @@ def run_eval(manifest, out_dir):
         pred = io.read_predictions(out_dir / f"pred_{s.id}.csv")
         if pred.i_count != s.i_count:
             raise ValueError(f"stream {s.id}: prediction has wrong length")
+        if pred.j_count != s.j_count:
+            raise ValueError(
+                f"stream {s.id}: prediction ends on row {pred.j_count - 1}, "
+                f"not on the last row {s.j_count - 1}"
+            )
         rows.append((s.id, jaccard_score(pred, s.annotation, s.background)))
     if not rows:
         raise ValueError("no annotated streams to evaluate")

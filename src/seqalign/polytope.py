@@ -181,19 +181,17 @@ def band_indicator(j_count, i_count, beta):
     return (np.abs(j - i) > beta).astype(np.float64)
 
 
-def lmo_blocks(cost, layout, masks=None):
+def lmo_blocks(blocks, masks=None):
     """Per-stream linear minimization over the block-diagonal polytope.
 
-    cost is (J_total, I_total); only the diagonal blocks are read.  masks
-    is an optional per-stream list of CellMask or None; a hard-supervised
-    stream's mask admits a single path, which the oracle then returns.
-    The streams of one width share one DP sweep (see _sweep).
+    blocks lists each stream's (J_n, I_n) cost block.  masks is an optional
+    per-stream list of CellMask or None; a hard-supervised stream's mask
+    admits a single path, which the oracle then returns.  The streams of
+    one width share one DP sweep (see _sweep).
 
     Returns (paths, value) with value the sum of block optima.
     """
-    n_streams = layout.n_streams
-    blocks = [layout.block(cost, n) for n in range(n_streams)]
-    paths, values = _sweep(blocks, masks if masks is not None else [None] * n_streams)
+    paths, values = _sweep(blocks, masks if masks is not None else [None] * len(blocks))
     total = 0.0
     for v in values.tolist():
         total += v

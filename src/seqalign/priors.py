@@ -12,7 +12,8 @@ class PriorConfig:
     mu is the (J,) vector of target column counts per row (see
     supervision.resolve_mu), sigma its spread.  alpha weights the linear
     penalty on assignment mass outside the diagonal band; the band itself
-    is the indicator array of polytope.band_indicator.
+    is, stream by stream, the (J_n, I_n) indicator array of
+    polytope.band_indicator (solver.ProblemInstance.band).
     """
 
     mu: np.ndarray
@@ -51,7 +52,8 @@ def band_penalty(y, y_c, alpha):
     """alpha * Tr(Y_c^T Y): penalized mass outside the diagonal band.
 
     y_c is the 0/1 indicator of the cells outside the band (see
-    polytope.band_indicator).
+    polytope.band_indicator), of y's shape: one stream's block of Y and its
+    band, whose terms solver.objective adds up stream by stream.
     """
     y = np.asarray(y, dtype=np.float64)
     if np.shape(y_c) != y.shape:

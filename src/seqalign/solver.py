@@ -44,7 +44,7 @@ class ProblemInstance:
     layout: StreamLayout
     kernel: CostKernel
     priors: PriorConfig
-    band: np.ndarray  # (J_total, I_total), block-diagonal band indicator
+    band: tuple  # per stream, its (J_n, I_n) band indicator Y_c
     masks: tuple
 
 
@@ -63,37 +63,63 @@ class SolveResult:
 
 
 def block_band(layout, beta):
-    """Block-diagonal band indicator for a multi-stream layout."""
-    y_c = np.zeros((layout.j_total, layout.i_total))
-    for n in range(layout.n_streams):
-        layout.block(y_c, n)[:, :] = band_indicator(layout.j_sizes[n], layout.i_sizes[n], beta)
-    return y_c
+    """Each stream's (J_n, I_n) band indicator, the diagonal blocks of Y_c."""
+    return tuple(band_indicator(j, i, beta) for j, i in zip(layout.j_sizes, layout.i_sizes))
 
 
 def objective(instance, y):
-    """q(Y) + r(Y) + l(Y)."""
+    """q(Y) + r(Y) + l(Y) of a dense (J_total, I_total) Y."""
+    layout, alpha = instance.layout, instance.priors.alpha
+    band = sum(band_penalty(layout.block(y, n), y_c, alpha) for n, y_c in enumerate(instance.band))
     return (
         discriminative_cost(instance.psi, y, instance.kernel)
         + duration_penalty(y, instance.priors)
-        + band_penalty(y, instance.band, instance.priors.alpha)
+        + band
     )
 
 
-def gradient(instance, y):
-    """(1/I) psi^T psi Y Q + (1/sigma^2)(Y 1 - mu) 1^T + alpha Y_c.
+def _matrix_span(start, size, total):
+    """The slice start:start+size, or two indices around start where size is 1 < total.
 
-    The data term is taken as psi^T ((psi Y) Q): the product with Q costs
-    E I^2 flops instead of the J I^2 of (psi^T psi Y) Q, and the text
-    dimension E is below J_total on any suite of more than a few streams.
+    numpy computes a product with one row or column on BLAS's vector
+    kernels, which round otherwise than the matrix kernel of the whole
+    product; a neighbouring row or column keeps a block's product on the
+    matrix kernel.  Returns the slice and the place of start in it.
+    """
+    if size == 1 < total:
+        lo = min(start, total - 2)
+        return slice(lo, lo + 2), start - lo
+    return slice(start, start + size), 0
+
+
+def gradient(instance, y):
+    """Stream by stream, the (J_n, I_n) diagonal blocks of the gradient at Y.
+
+    The gradient is (1/I) psi^T psi Y Q + (1/sigma^2)(Y 1 - mu) 1^T + alpha Y_c;
+    the oracle, the gap and the line search read only its diagonal blocks.
+    The data term is taken as psi_n^T x_n with x = (psi Y) Q: the product
+    with Q costs E I^2 flops instead of the J I^2 of (psi^T psi Y) Q, and the
+    text dimension E is below J_total on any suite of more than a few
+    streams.  Y stays dense, so that psi Y and the row sums Y 1 are summed
+    as for the whole matrix, and each cell of a block gets the bits of the
+    dense (J_total, I_total) formula.
     """
     y = np.asarray(y, dtype=np.float64)
-    p = instance.priors
-    g = instance.psi.T @ ((instance.psi @ y) @ instance.kernel.q_matrix)
-    g /= instance.layout.i_total
+    p, layout = instance.priors, instance.layout
+    x = (instance.psi @ y) @ instance.kernel.q_matrix
     d = (y.sum(axis=1) - p.mu) / p.sigma**2
-    g += d[:, None]
-    g += p.alpha * instance.band
-    return g
+    blocks = []
+    for n, y_c in enumerate(instance.band):
+        J, I = y_c.shape
+        j0 = layout.j_offsets[n]
+        rows, r = _matrix_span(j0, J, layout.j_total)
+        cols, c = _matrix_span(layout.i_offsets[n], I, layout.i_total)
+        g = (instance.psi[:, rows].T @ x[:, cols])[r : r + J, c : c + I]
+        g /= layout.i_total
+        g += d[j0 : j0 + J, None]
+        g += p.alpha * y_c
+        blocks.append(g)
+    return blocks
 
 
 def _clamped_step(slope, curvature):
@@ -106,13 +132,14 @@ def _clamped_step(slope, curvature):
 def exact_line_search(instance, y, direction, grad=None):
     """Optimal step in [0, 1] along a vertex direction of the quadratic.
 
+    y and direction are dense; grad, if given, is gradient's blocks at y.
     gamma* = clamp(-<grad, D> / c, 0, 1) with curvature
     c = (1/I) Tr(psi D Q D^T psi^T) + (1/sigma^2) ||D 1||^2.
     """
     if grad is None:
         grad = gradient(instance, y)
     d = np.asarray(direction, dtype=np.float64)
-    slope = float(np.sum(grad * d))
+    slope = float(sum(np.sum(g * instance.layout.block(d, n)) for n, g in enumerate(grad)))
     pd = instance.psi @ d
     c = float(np.sum((pd @ instance.kernel.q_matrix) * pd)) / instance.layout.i_total
     r = d.sum(axis=1)
@@ -168,11 +195,10 @@ class _ActiveSet:
         return y
 
     def gap(self, grad, v_paths):
-        """<grad, Y - V>, summed stream by stream."""
+        """<grad, Y - V>, summed stream by stream; grad is gradient's blocks."""
         layout = self.instance.layout
         gap = 0.0
-        for n, v in enumerate(v_paths):
-            g_n = layout.block(grad, n)
+        for n, (g_n, v) in enumerate(zip(grad, v_paths)):
             sums = g_n[self.rows[n], np.arange(layout.i_sizes[n])].sum(axis=1)
             y_dot = sum(self.w[self.members[n]] * sums)
             gap += y_dot - _path_sum(g_n, v)
@@ -211,7 +237,7 @@ class _ActiveSet:
         row[self.members[n]] += self.durations[n] @ d_new / sigma2
         j_slice = slice(j0, j0 + layout.j_sizes[n])
         b_new = -float(inst.priors.mu[j_slice] @ d_new) / sigma2
-        b_new += inst.priors.alpha * _path_sum(layout.block(inst.band, n), path)
+        b_new += inst.priors.alpha * _path_sum(inst.band[n], path)
 
         h = np.empty((size, size))
         h[:-1, :-1] = self.h
@@ -412,7 +438,7 @@ def solve(instance, max_iter=2000, gap_tol=1e-6):
 
     for t in range(max_iter + 1):
         grad = gradient(instance, y)
-        v_paths, _ = lmo_blocks(grad, layout, instance.masks)
+        v_paths, _ = lmo_blocks(grad, instance.masks)
         gap = active.gap(grad, v_paths)
         result.objective_trace.append(obj)
         result.gap_trace.append(gap)

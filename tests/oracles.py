@@ -2,15 +2,17 @@
 
 Exhaustive path enumeration, the per-stream DP and linear oracle, the
 Helmert basis of the weight-space correction, the vertex matrix of a path,
-the joint ridge objective, the three rounding criteria and a duality-gap
-certificate of a solve.  Each is written independently of the fast path it arbitrates; none
-is used by the package itself.
+the dense kernel Q and the dense gradient, the joint ridge objective, the
+three rounding criteria and a duality-gap certificate of a solve.  Each is
+written independently of the fast path it arbitrates; none is used by the
+package itself.
 """
 
 from itertools import combinations
 from math import comb
 
 import numpy as np
+from scipy.linalg import block_diag, cho_factor, cho_solve
 
 from seqalign.polytope import AlignmentPath, InfeasibleError, blocks_to_matrix, lmo_blocks
 from seqalign.priors import band_penalty, duration_penalty
@@ -110,6 +112,38 @@ def lmo_blocks_single(cost, layout, masks=None):
     return out
 
 
+def diagonal_blocks(matrix, layout):
+    """Stream by stream, the (J_n, I_n) diagonal blocks of a (J_total, I_total) matrix."""
+    return [layout.block(matrix, n) for n in range(layout.n_streams)]
+
+
+def compute_q_dense(phi, lam):
+    """Q = Id - phi^T G^{-1} phi, averaged with its transpose, from three (I, I) arrays.
+
+    The formula core.compute_q replaced; the tests require its bits.
+    """
+    D, I = phi.shape
+    gram_factor = cho_factor(phi @ phi.T + I * lam * np.eye(D))
+    q = np.eye(I) - phi.T @ cho_solve(gram_factor, phi)
+    return 0.5 * (q + q.T)
+
+
+def gradient_dense(instance, y):
+    """The (J_total, I_total) gradient psi^T ((psi Y) Q) / I + (Y 1 - mu) 1^T / sigma^2 + alpha Y_c.
+
+    The formula solver.gradient replaced, off-block cells included; the
+    tests require the bits of its diagonal blocks.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    p = instance.priors
+    g = instance.psi.T @ ((instance.psi @ y) @ instance.kernel.q_matrix)
+    g /= instance.layout.i_total
+    d = (y.sum(axis=1) - p.mu) / p.sigma**2
+    g += d[:, None]
+    g += p.alpha * block_diag(*instance.band)
+    return g
+
+
 def sum_zero_basis(stream_f):
     """Orthonormal basis of the vectors whose per-stream sums are zero, stream by stream.
 
@@ -180,10 +214,11 @@ def reference_certificate(instance, result, hp):
     gram = phi @ phi.T + I * hp.lam * np.eye(D)
     w = np.linalg.solve(gram, phi @ (psi @ y).T).T
     f = ridge_residual(psi, y, phi, w, hp.lam)
-    f += duration_penalty(y, p) + band_penalty(y, instance.band, hp.alpha)
+    band = block_diag(*instance.band)
+    f += duration_penalty(y, p) + band_penalty(y, band, hp.alpha)
     q = np.eye(I) - phi.T @ np.linalg.solve(gram, phi)
     grad = (psi.T @ psi) @ y @ q / I
-    grad += ((y.sum(axis=1) - p.mu) / p.sigma**2)[:, None] + hp.alpha * instance.band
-    v_paths, _ = lmo_blocks(grad, instance.layout, instance.masks)
+    grad += ((y.sum(axis=1) - p.mu) / p.sigma**2)[:, None] + hp.alpha * band
+    v_paths, _ = lmo_blocks(diagonal_blocks(grad, instance.layout), instance.masks)
     v = blocks_to_matrix(v_paths, instance.layout)
     return f, float(np.sum(grad * (y - v)))

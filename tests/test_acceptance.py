@@ -148,7 +148,7 @@ def test_criterion_04_gradient_matches_finite_differences():
             beta=float(rng.uniform(0.0, 0.4)),
         )
         y = rng.random((inst.layout.j_total, inst.layout.i_total))
-        g = gradient(inst, y)
+        (g,) = gradient(inst, y)  # one stream: its block is the whole gradient
         fd = np.zeros_like(y)
         h = 1e-5
         for idx in np.ndindex(y.shape):

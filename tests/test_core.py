@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from seqalign import core
 from seqalign.core import (
     augment_affine,
     compute_q,
@@ -8,7 +9,7 @@ from seqalign.core import (
     fit_model,
 )
 
-from oracles import ridge_residual
+from oracles import compute_q_dense, ridge_residual
 
 
 def ridge_gradient_descent(psi, y, phi, lam, steps=200000, lr=None):
@@ -71,6 +72,19 @@ class TestComputeQ:
         q = compute_q(phi, lam=1e-9)
         ones = np.ones(6)
         assert np.linalg.norm(q.q_matrix @ ones) <= 1e-6 * np.linalg.norm(ones)
+
+    @pytest.mark.parametrize("d", [1, 9, 300])
+    def test_bits_of_the_dense_formula(self, d):
+        # Every tile layout: one partial tile, one full, one full plus a
+        # column, and two full plus a partial; d = 300 puts D above every I.
+        tile = core._SYMMETRIZE_TILE
+        rng = np.random.default_rng(d)
+        for i in (1, 2, tile - 1, tile, tile + 1, 2 * tile + 3):
+            phi = rng.standard_normal((d, i)) * 10.0 ** rng.integers(-3, 4, size=(d, 1))
+            for lam in (1e-6, 0.1, 5.0):
+                q = compute_q(phi, lam).q_matrix
+                assert np.array_equal(q, compute_q_dense(phi, lam)), (d, i, lam)
+                assert np.array_equal(q, q.T)
 
     def test_rejects_bad_inputs(self):
         with pytest.raises(ValueError):

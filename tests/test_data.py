@@ -1,5 +1,6 @@
 import json
 import re
+import time
 import warnings
 from dataclasses import replace
 
@@ -512,6 +513,39 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("ValueError: ")
+
+    def test_eval_of_a_path_that_stops_short_of_the_last_row_exits_1(self, tmp_path, capsys):
+        suite = tmp_path / "suite"
+        assert cli.main(["synth", "--out-dir", str(suite), "--streams", "1", "--sentences", "3",
+                         "--intervals", "12", "--seed", "0"]) == 0
+        manifest = str(suite / "manifest.json")
+        run = tmp_path / "run"
+        assert cli.main(["align", "--manifest", manifest, "--out-dir", str(run)]) == 0
+        # A valid path of 12 columns, but over 3 of the stream's 7 rows.
+        rows = [0, 0, 0, 0, 1, 1, 1, 1, 2, 2, 2, 2]
+        (run / "pred_stream_00.csv").write_text(
+            "i,j\n" + "".join(f"{i},{j}\n" for i, j in enumerate(rows))
+        )
+        capsys.readouterr()
+        assert cli.main(["eval", "--manifest", manifest, "--out-dir", str(run)]) == 1
+        captured = capsys.readouterr()
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ValueError: stream stream_00: "), err
+        assert "mean" not in captured.out and not (run / "scores.csv").exists()
+
+    def test_report_timings_split_the_align(self, tmp_path):
+        manifest = pipeline.run_synth(tmp_path / "suite", n_streams=2, sentences=2,
+                                      intervals=12, seed=3)
+        t0 = time.perf_counter()
+        report = pipeline.run_align(manifest, tmp_path / "run")
+        wall = time.perf_counter() - t0
+        timings = report["timings"]
+        keys = ["load_s", "assemble_s", "solve_s", "round_s", "write_s"]
+        assert list(timings) == keys
+        assert all(timings[k] >= 0 for k in keys)
+        assert sum(timings.values()) <= wall
+        written = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert written["timings"] == timings
 
     @pytest.mark.parametrize(
         "content",

@@ -18,6 +18,7 @@ from seqalign.polytope import (
 from seqalign.supervision import fix_assignment_mask
 
 from oracles import (
+    diagonal_blocks,
     enumerate_paths,
     lmo_blocks_single,
     matrix_to_path,
@@ -203,7 +204,7 @@ class TestLmoBlocks:
         rng = np.random.default_rng(5)
         cost = rng.standard_normal((3, 6))
         layout = StreamLayout(i_sizes=[6], j_sizes=[3])
-        paths, value = lmo_blocks(cost, layout)
+        paths, value = lmo_blocks(diagonal_blocks(cost, layout))
         ref_path, ref_value = minimize_linear(cost)
         np.testing.assert_array_equal(paths[0].assignment, ref_path.assignment)
         assert value == ref_value
@@ -214,7 +215,7 @@ class TestLmoBlocks:
         cost = np.full((4, 6), 100.0)
         layout.block(cost, 0)[:, :] = block
         layout.block(cost, 1)[:, :] = block
-        paths, value = lmo_blocks(cost, layout)
+        paths, value = lmo_blocks(diagonal_blocks(cost, layout))
         for p in paths:
             np.testing.assert_array_equal(p.assignment, [0, 0, 1])
         assert value == 0.0
@@ -223,14 +224,14 @@ class TestLmoBlocks:
         rng = np.random.default_rng(6)
         layout = StreamLayout(i_sizes=[4, 5], j_sizes=[2, 3])
         cost = rng.standard_normal((5, 9))
-        paths, value = lmo_blocks(cost, layout)
+        paths, value = lmo_blocks(diagonal_blocks(cost, layout))
         noisy = cost.copy()
         # Perturb everything outside the diagonal blocks.
         blocks = np.zeros_like(cost, dtype=bool)
         layout.block(blocks, 0)[:, :] = True
         layout.block(blocks, 1)[:, :] = True
         noisy[~blocks] += rng.standard_normal((~blocks).sum()) * 100
-        paths2, value2 = lmo_blocks(noisy, layout)
+        paths2, value2 = lmo_blocks(diagonal_blocks(noisy, layout))
         for p, q in zip(paths, paths2):
             np.testing.assert_array_equal(p.assignment, q.assignment)
         assert value == value2
@@ -239,7 +240,7 @@ class TestLmoBlocks:
         layout = StreamLayout(i_sizes=[3, 3], j_sizes=[2, 2])
         pinned = AlignmentPath(np.array([0, 1, 1]), j_count=2)
         cost = np.zeros((4, 6))
-        paths, _ = lmo_blocks(cost, layout, [fix_assignment_mask(pinned), None])
+        paths, _ = lmo_blocks(diagonal_blocks(cost, layout), [fix_assignment_mask(pinned), None])
         np.testing.assert_array_equal(paths[0].assignment, pinned.assignment)
 
     def test_blocks_to_matrix_support(self):
@@ -281,7 +282,7 @@ class TestLmoBlocksSweep:
 
     def assert_matches_single(self, cost, layout, masks):
         ref = lmo_blocks_single(cost, layout, masks)
-        paths, value = lmo_blocks(cost, layout, masks)
+        paths, value = lmo_blocks(diagonal_blocks(cost, layout), masks)
         total = 0.0
         for p, (q, v) in zip(paths, ref):
             np.testing.assert_array_equal(p.assignment, q.assignment)
@@ -313,7 +314,7 @@ class TestLmoBlocksSweep:
                 lmo_blocks_single(cost, layout, masks)
             except InfeasibleError as e:
                 with pytest.raises(InfeasibleError, match=str(e)):
-                    lmo_blocks(cost, layout, masks)
+                    lmo_blocks(diagonal_blocks(cost, layout), masks)
                 continue
             self.assert_matches_single(cost, layout, masks)
             checked += 1
@@ -330,7 +331,7 @@ class TestLmoBlocksSweep:
                 pinned.append(p if pin else None)
                 masks.append(fix_assignment_mask(p) if pin else None)
             self.assert_matches_single(cost, layout, masks)
-            paths, _ = lmo_blocks(cost, layout, masks)
+            paths, _ = lmo_blocks(diagonal_blocks(cost, layout), masks)
             for p, q in zip(paths, pinned):
                 if q is not None:
                     np.testing.assert_array_equal(p.assignment, q.assignment)
@@ -342,7 +343,7 @@ class TestLmoBlocksSweep:
                                                      p_forbid=0.2)
             masks = [m if m is None or enumerate_paths(i, j, m) else None
                      for m, i, j in zip(masks, layout.i_sizes, layout.j_sizes)]
-            paths, value = lmo_blocks(cost, layout, masks)
+            paths, value = lmo_blocks(diagonal_blocks(cost, layout), masks)
             total = 0.0
             for n, p in enumerate(paths):
                 block = layout.block(cost, n)
@@ -370,26 +371,26 @@ class TestLmoBlocksSweep:
     def test_infeasible_stream_raises_todays_messages(self):
         layout = StreamLayout(i_sizes=[4, 2], j_sizes=[2, 3])
         with pytest.raises(InfeasibleError, match=r"^no monotone path exists for J=3 > I=2$"):
-            lmo_blocks(np.zeros((5, 6)), layout)
+            lmo_blocks(diagonal_blocks(np.zeros((5, 6)), layout))
         layout = StreamLayout(i_sizes=[4, 3], j_sizes=[2, 2])
         closed = CellMask(np.ones((2, 3), dtype=bool))
         with pytest.raises(InfeasibleError, match=r"^mask forbids every monotone path$"):
-            lmo_blocks(np.zeros((4, 7)), layout, [None, closed])
+            lmo_blocks(diagonal_blocks(np.zeros((4, 7)), layout), [None, closed])
         # Only the last column of the last row is open: no path reaches it from row 0.
         edge = np.ones((2, 3), dtype=bool)
         edge[1, 2] = False
         with pytest.raises(InfeasibleError, match=r"^mask forbids every monotone path$"):
-            lmo_blocks(np.zeros((4, 7)), layout, [None, CellMask(edge)])
+            lmo_blocks(diagonal_blocks(np.zeros((4, 7)), layout), [None, CellMask(edge)])
 
     def test_rejects_non_finite_block(self):
         layout = StreamLayout(i_sizes=[3, 3], j_sizes=[2, 2])
         cost = np.zeros((4, 6))
         cost[3, 5] = np.inf
         with pytest.raises(ValueError, match="non-finite"):
-            lmo_blocks(cost, layout)
+            lmo_blocks(diagonal_blocks(cost, layout))
         cost = np.zeros((4, 6))
         cost[3, 0] = np.nan  # off-block: never read
-        lmo_blocks(cost, layout)
+        lmo_blocks(diagonal_blocks(cost, layout))
 
 
 class TestKernelBackends:

@@ -7,7 +7,7 @@ from seqalign import pipeline
 from seqalign.core import fit_model
 from seqalign.priors import band_penalty, duration_penalty
 from seqalign.data import Hyperparameters
-from seqalign.polytope import AlignmentPath
+from seqalign.polytope import AlignmentPath, band_indicator, blocks_to_matrix
 from seqalign.solver import (
     _ActiveSet,
     _minimize_on_simplices,
@@ -17,11 +17,12 @@ from seqalign.solver import (
     objective,
     solve,
 )
-from seqalign.supervision import assemble
+from seqalign.supervision import Annotation, Stream, assemble
 
 from conftest import make_instance, make_stream
 from oracles import (
     enumerate_paths,
+    gradient_dense,
     path_to_matrix,
     reference_certificate,
     ridge_residual,
@@ -58,7 +59,7 @@ class TestObjective:
         parts = (
             discriminative_cost(inst.psi, y, inst.kernel)
             + duration_penalty(y, inst.priors)
-            + band_penalty(y, inst.band, inst.priors.alpha)
+            + band_penalty(y, inst.band[0], inst.priors.alpha)
         )
         assert total == pytest.approx(parts, abs=1e-12)
 
@@ -73,7 +74,7 @@ class TestObjective:
             expect = (
                 ridge_residual(inst.psi, y, inst.phi, w, lam)
                 + duration_penalty(y, inst.priors)
-                + inst.priors.alpha * np.sum(inst.band * y)
+                + inst.priors.alpha * np.sum(inst.band[0] * y)
             )
             assert objective(inst, y) == pytest.approx(expect, rel=1e-8)
 
@@ -91,7 +92,7 @@ class TestGradient:
                 beta=float(rng.uniform(0.0, 0.4)),
             )
             y = rng.random((inst.layout.j_total, inst.layout.i_total))
-            g = gradient(inst, y)
+            (g,) = gradient(inst, y)  # one stream: its block is the whole gradient
             fd = finite_difference(lambda m: objective(inst, m), y)
             scale = max(np.max(np.abs(fd)), 1e-8)
             assert np.max(np.abs(g - fd)) / scale <= 1e-5
@@ -111,7 +112,7 @@ class TestGradient:
         )
         mu = inst.priors.mu
         y = np.tile((mu / inst.layout.i_total)[:, None], (1, inst.layout.i_total))
-        np.testing.assert_allclose(gradient(inst, y), 0.0, atol=1e-12)
+        np.testing.assert_allclose(gradient(inst, y)[0], 0.0, atol=1e-12)
 
     def test_pure_band_term(self):
         rng = np.random.default_rng(4)
@@ -126,7 +127,62 @@ class TestGradient:
             masks=inst.masks,
         )
         y = rng.random((inst.layout.j_total, inst.layout.i_total))
-        np.testing.assert_allclose(gradient(inst, y), 0.4 * inst.band, atol=1e-17)
+        np.testing.assert_allclose(gradient(inst, y)[0], 0.4 * inst.band[0], atol=1e-17)
+
+
+def random_path(rng, i_count, j_count):
+    steps = np.sort(rng.choice(np.arange(1, i_count), size=j_count - 1, replace=False))
+    return AlignmentPath(np.searchsorted(steps, np.arange(i_count), side="right"), j_count)
+
+
+def annotated_stream(rng, sid, i_count, j_count):
+    """A stream of random features, each row annotated with its columns on a random path."""
+    rows = random_path(rng, i_count, j_count).assignment
+    starts = np.searchsorted(rows, np.arange(j_count))
+    ends = np.searchsorted(rows, np.arange(j_count), side="right")
+    return Stream(
+        id=sid,
+        phi=rng.standard_normal((3, i_count)),
+        psi=rng.standard_normal((4, j_count)),
+        annotation=Annotation(tuple(zip(range(j_count), starts, ends))),
+        supervised=bool(rng.integers(2)),
+    )
+
+
+class TestGradientBlocks:
+    # (I_n, J_n) of the streams: all unequal, with I_n = 1, J_n = 1 and J_n = I_n among them.
+    SHAPES = [(1, 1), (9, 1), (7, 7), (23, 5), (4, 3), (16, 2), (30, 11)]
+
+    @pytest.mark.parametrize("supervision", ["none", "soft", "hard"])
+    def test_blocks_of_the_dense_formula_bit_for_bit(self, supervision):
+        rng = np.random.default_rng(["none", "soft", "hard"].index(supervision))
+        for _ in range(8):
+            order = rng.permutation(len(self.SHAPES))[: int(rng.integers(1, len(self.SHAPES) + 1))]
+            streams = [annotated_stream(rng, f"s{k}", *self.SHAPES[k]) for k in order]
+            hp = Hyperparameters(
+                supervision=supervision, mu_background=None, kappa=float(rng.uniform(0.5, 3.0)),
+                sigma=float(rng.uniform(0.5, 3.0)), alpha=float(rng.uniform(0.0, 0.5)),
+                beta=float(rng.uniform(0.0, 0.4)), lam=float(rng.uniform(0.01, 1.0)),
+            )
+            inst = assemble(streams, hp)
+            layout = inst.layout
+            for n, y_c in enumerate(inst.band):
+                assert np.array_equal(
+                    y_c, band_indicator(layout.j_sizes[n], layout.i_sizes[n], hp.beta)
+                )
+            vertices = [
+                blocks_to_matrix(
+                    [random_path(rng, i, j) for i, j in zip(layout.i_sizes, layout.j_sizes)],
+                    layout,
+                )
+                for _ in range(3)
+            ]
+            hull = sum(w * v for w, v in zip(rng.dirichlet(np.ones(3)), vertices))
+            for y in (hull, rng.standard_normal((layout.j_total, layout.i_total))):
+                blocks, dense = gradient(inst, y), gradient_dense(inst, y)
+                assert len(blocks) == layout.n_streams
+                for n, g in enumerate(blocks):
+                    assert np.array_equal(g, layout.block(dense, n))
 
 
 class TestLineSearch:
@@ -134,7 +190,7 @@ class TestLineSearch:
         rng = np.random.default_rng(5)
         inst = make_instance(rng, i_count=5, n_sentences=1)
         y = random_hull_point(rng, inst)
-        g = gradient(inst, y)
+        (g,) = gradient(inst, y)
         d = np.sign(g)  # ascent direction: <g, d> >= 0
         assert exact_line_search(inst, y, d) == 0.0
 
