@@ -110,9 +110,11 @@ def run_align(manifest, out_dir, overrides=None):
     t0 = time.perf_counter()
     for s, p in zip(streams, preds):
         io.write_predictions(out_dir / f"pred_{s.id}.csv", p)
-    trace_lines = ["iteration,objective,gap"]
-    for t, (o, g) in enumerate(zip(result.objective_trace, result.gap_trace)):
-        trace_lines.append(f"{t},{o!r},{g!r}")
+    trace_lines = ["iteration,objective,gap,active_set,face_steps"]
+    traces = (result.objective_trace, result.gap_trace, result.active_set_trace,
+              result.face_steps_trace)
+    for t, (o, g, a, s) in enumerate(zip(*traces)):
+        trace_lines.append(f"{t},{o!r},{g!r},{a},{s}")
     (out_dir / "trace.csv").write_text("\n".join(trace_lines) + "\n")
     timings["write_s"] = time.perf_counter() - t0
     report = {

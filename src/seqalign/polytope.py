@@ -9,6 +9,7 @@ all streams of one width into one lattice, so one DP sweep serves them all.
 """
 
 from dataclasses import dataclass, field
+from itertools import groupby
 
 import numpy as np
 
@@ -64,6 +65,7 @@ class StreamLayout:
     j_sizes: tuple
     i_offsets: tuple = field(init=False)
     j_offsets: tuple = field(init=False)
+    runs: tuple = field(init=False)  # (first stream, count) of each run of one (J, I) shape
 
     def __post_init__(self):
         object.__setattr__(self, "i_sizes", tuple(int(v) for v in self.i_sizes))
@@ -76,6 +78,12 @@ class StreamLayout:
         object.__setattr__(
             self, "j_offsets", tuple(np.concatenate([[0], np.cumsum(self.j_sizes)[:-1]]))
         )
+        runs, first = [], 0
+        for _, run in groupby(zip(self.j_sizes, self.i_sizes)):
+            count = len(list(run))
+            runs.append((first, count))
+            first += count
+        object.__setattr__(self, "runs", tuple(runs))
 
     @property
     def n_streams(self):

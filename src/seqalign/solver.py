@@ -12,10 +12,12 @@ of the polytope; the fully-corrective variant converges linearly
 (Lacoste-Julien & Jaggi, NeurIPS 2015).
 """
 
+import math
 from dataclasses import dataclass, field
+from itertools import compress
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .core import CostKernel, discriminative_cost, fit_model
 from .evaluation import diagonal_path
@@ -54,6 +56,8 @@ class SolveResult:
     w_star: np.ndarray
     objective_trace: list = field(default_factory=list)
     gap_trace: list = field(default_factory=list)
+    active_set_trace: list = field(default_factory=list)  # vertices that carry iterate t
+    face_steps_trace: list = field(default_factory=list)  # steps of the correction from it
     iterations: int = 0
     stop_reason: str = ""  # "gap_tol", "stalled" or "max_iter"; see solve
 
@@ -78,18 +82,48 @@ def objective(instance, y):
     )
 
 
-def _matrix_span(start, size, total):
-    """The slice start:start+size, or two indices around start where size is 1 < total.
+def _span_product(psi, x, layout, n):
+    """psi_n^T x_n of a stream with one row or one column, on BLAS's matrix kernel.
 
     numpy computes a product with one row or column on BLAS's vector
     kernels, which round otherwise than the matrix kernel of the whole
-    product; a neighbouring row or column keeps a block's product on the
-    matrix kernel.  Returns the slice and the place of start in it.
+    product psi^T x; a neighbouring row or column of psi or x keeps the
+    block's product on the matrix kernel.
+    """
+    J, I = layout.j_sizes[n], layout.i_sizes[n]
+    j0, i0 = layout.j_offsets[n], layout.i_offsets[n]
+    rows, r = _matrix_span(j0, J, layout.j_total)
+    cols, c = _matrix_span(i0, I, layout.i_total)
+    return (psi[:, rows].T @ x[:, cols])[r : r + J, c : c + I]
+
+
+def _matrix_span(start, size, total):
+    """The slice start:start+size, or two indices around start where size is 1 < total.
+
+    Returns the slice and the place of start in it.
     """
     if size == 1 < total:
         lo = min(start, total - 2)
         return slice(lo, lo + 2), start - lo
     return slice(start, start + size), 0
+
+
+def _run_products(psi, x, layout, first, count):
+    """psi_n^T x_n of the ``count`` streams of one shape from ``first`` on, a (count, J, I) array.
+
+    psi is (E, J_total) and x (E, I_total), both C-ordered.  The product is
+    one stacked matmul on reshape views of the run's column ranges, so BLAS
+    gets each stream's operands with the strides that psi[:, rows].T and
+    x[:, cols] have, and each block the bits of that product.  A gathered
+    copy such as x[:, idx] is laid out otherwise (Fortran order), and a
+    product on it can differ in the last bits.
+    """
+    J, I = layout.j_sizes[first], layout.i_sizes[first]
+    j0, i0 = layout.j_offsets[first], layout.i_offsets[first]
+    e = psi.shape[0]
+    p = psi[:, j0 : j0 + count * J].reshape(e, count, J).transpose(1, 2, 0)
+    v = x[:, i0 : i0 + count * I].reshape(e, count, I).transpose(1, 0, 2)
+    return np.matmul(p, v)
 
 
 def gradient(instance, y):
@@ -102,31 +136,35 @@ def gradient(instance, y):
     text dimension E is below J_total on any suite of more than a few
     streams.  Y stays dense, so that psi Y and the row sums Y 1 are summed
     as for the whole matrix, and each cell of a block gets the bits of the
-    dense (J_total, I_total) formula.
+    dense (J_total, I_total) formula.  The blocks of a run of streams of
+    one shape are computed together (_run_products) and are views of one
+    array.
     """
     y = np.asarray(y, dtype=np.float64)
-    p, layout = instance.priors, instance.layout
-    x = (instance.psi @ y) @ instance.kernel.q_matrix
+    p, layout, psi = instance.priors, instance.layout, instance.psi
+    x = (psi @ y) @ instance.kernel.q_matrix
     d = (y.sum(axis=1) - p.mu) / p.sigma**2
     blocks = []
-    for n, y_c in enumerate(instance.band):
-        J, I = y_c.shape
-        j0 = layout.j_offsets[n]
-        rows, r = _matrix_span(j0, J, layout.j_total)
-        cols, c = _matrix_span(layout.i_offsets[n], I, layout.i_total)
-        g = (instance.psi[:, rows].T @ x[:, cols])[r : r + J, c : c + I]
+    for first, count in layout.runs:
+        J, I = layout.j_sizes[first], layout.i_sizes[first]
+        j0 = layout.j_offsets[first]
+        if J == 1 or I == 1:
+            g = np.stack([_span_product(psi, x, layout, n) for n in range(first, first + count)])
+        else:
+            g = _run_products(psi, x, layout, first, count)
         g /= layout.i_total
-        g += d[j0 : j0 + J, None]
-        g += p.alpha * y_c
-        blocks.append(g)
+        g += d[j0 : j0 + count * J].reshape(count, J, 1)
+        # band_indicator depends on the shape alone, so a run shares one.
+        g += p.alpha * instance.band[first]
+        blocks.extend(g)
     return blocks
 
 
 def _clamped_step(slope, curvature):
     """Minimizer over [0, 1] of slope * t + curvature * t^2 / 2."""
-    if not np.isfinite(curvature) or curvature <= 1e-14:
+    if not math.isfinite(curvature) or curvature <= 1e-14:
         return 1.0 if slope < 0 else 0.0
-    return float(np.clip(-slope / curvature, 0.0, 1.0))
+    return float(min(max(-slope / curvature, 0.0), 1.0))
 
 
 def exact_line_search(instance, y, direction, grad=None):
@@ -162,20 +200,26 @@ class _ActiveSet:
         H_kl = (1/I) <psi V_k Q, psi V_l> + (1/sigma^2) <V_k 1, V_l 1>,
         b_k  = -(1/sigma^2) <mu, V_k 1> + alpha <Y_c, V_k>.
 
-    Only the paths and H and b are kept, not the images psi V_k Q.  Stream
-    n's vertex indices, in ascending order, are ``members[n]``, and their
-    assignments and durations are the rows of ``rows[n]`` and
-    ``durations[n]``; ``lookup`` maps (stream, assignment bytes) to the index.
+    Only the paths and H and b are kept, not the images psi V_k Q.  The
+    paths are kept per run r of streams of one shape (J, I)
+    (StreamLayout.runs): the run's vertex indices, in ascending order, are
+    ``members[r]``, the places of their streams in the run ``place[r]``,
+    their durations the rows of ``durations[r]``, and the cells of their
+    paths the rows of ``cells[r]``: (place J + row) I + column, a flat
+    index into the run's (count, J, I) blocks.  ``lookup`` maps (stream,
+    assignment bytes) to the index; its keys are in index order.
     """
 
     def __init__(self, instance):
         self.instance = instance
         layout = instance.layout
+        self.run_of = np.repeat(np.arange(len(layout.runs)), [c for _, c in layout.runs])
         self.lookup = {}
         self.stream = np.zeros(0, dtype=np.int64)
-        self.members = [np.zeros(0, dtype=np.int64) for _ in range(layout.n_streams)]
-        self.rows = [np.zeros((0, i), dtype=np.int64) for i in layout.i_sizes]
-        self.durations = [np.zeros((0, j), dtype=np.int64) for j in layout.j_sizes]
+        self.members = [np.zeros(0, dtype=np.int64) for _ in layout.runs]
+        self.place = [np.zeros(0, dtype=np.int64) for _ in layout.runs]
+        self.cells = [np.zeros((0, layout.i_sizes[f]), dtype=np.int64) for f, _ in layout.runs]
+        self.durations = [np.zeros((0, layout.j_sizes[f]), dtype=np.int64) for f, _ in layout.runs]
         self.w = np.zeros(0)
         self.h = np.zeros((0, 0))
         self.b = np.zeros(0)
@@ -188,64 +232,104 @@ class _ActiveSet:
     def matrix(self):
         """The iterate Y = sum_k w_k V_k, each cell summed in vertex order."""
         layout = self.instance.layout
+        cells, weights = [], []
+        for r, (first, _) in enumerate(layout.runs):
+            I = layout.i_sizes[first]
+            j, i = np.divmod(self.cells[r], I)
+            j += layout.j_offsets[first]
+            i += layout.i_offsets[first] + self.place[r][:, None] * I
+            cells.append((j * layout.i_total + i).ravel())
+            weights.append(np.repeat(self.w[self.members[r]], I))
         y = np.zeros((layout.j_total, layout.i_total))
-        for n in range(layout.n_streams):
-            cells = (self.rows[n], np.arange(layout.i_sizes[n]))
-            np.add.at(layout.block(y, n), cells, self.w[self.members[n], None])
+        np.add.at(y.reshape(-1), np.concatenate(cells), np.concatenate(weights))
         return y
 
     def gap(self, grad, v_paths):
         """<grad, Y - V>, summed stream by stream; grad is gradient's blocks."""
-        layout = self.instance.layout
         gap = 0.0
-        for n, (g_n, v) in enumerate(zip(grad, v_paths)):
-            sums = g_n[self.rows[n], np.arange(layout.i_sizes[n])].sum(axis=1)
-            y_dot = sum(self.w[self.members[n]] * sums)
-            gap += y_dot - _path_sum(g_n, v)
-        return float(gap)
+        for r, (first, count) in enumerate(self.instance.layout.runs):
+            g = np.stack(grad[first : first + count])
+            sums = g.take(self.cells[r]).sum(axis=1)
+            # Each stream's w_k <grad, V_k>, added one at a time in vertex order.
+            y_dot = np.bincount(self.place[r], self.w[self.members[r]] * sums, count)
+            v = np.stack([p.assignment for p in v_paths[first : first + count]])
+            v_dot = g[np.arange(count)[:, None], v, np.arange(g.shape[2])].sum(axis=1)
+            for y_n, v_n in zip(y_dot.tolist(), v_dot.tolist()):
+                gap += y_n - v_n
+        return gap
 
-    def index(self, n, path):
-        """Index of stream n's vertex ``path``, added with weight 0 if new."""
-        key = (n, path.assignment.tobytes())
-        if key not in self.lookup:
-            self.lookup[key] = self.stream.size
-            self._add(n, path)
-        return self.lookup[key]
+    def index(self, vertices):
+        """Indices of the (stream, path) pairs ``vertices``; new ones are added with weight 0."""
+        found, new = [], []
+        for n, path in vertices:
+            key = (n, path.assignment.tobytes())
+            k = self.lookup.get(key)
+            if k is None:
+                k = self.lookup[key] = self.stream.size + len(new)
+                new.append((n, path))
+            found.append(k)
+        if new:
+            self._add(new)
+        return found
 
-    def _add(self, n, path):
+    def _add(self, new):
+        """Append the (stream, path) pairs ``new`` with their rows of H and entries of b.
+
+        H grows once.  Its new rows are written in order, so where two new
+        vertices meet, H holds the later one's entry, as when the vertices
+        are added one at a time.
+        """
         inst, layout = self.instance, self.instance.layout
-        sigma2 = inst.priors.sigma**2
-        i0, j0 = layout.i_offsets[n], layout.j_offsets[n]
-        # psi V Q of the new vertex needs only stream n's rows of Q.
-        image = inst.psi[:, j0 + path.assignment] @ inst.kernel.q_matrix[i0 : i0 + path.i_count]
-        size = self.stream.size + 1
-        self.stream = np.append(self.stream, n)
-        self.members[n] = np.append(self.members[n], size - 1)
-        self.rows[n] = np.vstack([self.rows[n], path.assignment])
-        d_new = path.durations()
-        self.durations[n] = np.vstack([self.durations[n], d_new])
-        row = np.empty(size)
-        for m in range(layout.n_streams):
-            members = self.members[m]
-            if members.size == 0:
+        psi, q, p = inst.psi, inst.kernel.q_matrix, inst.priors
+        sigma2 = p.sigma**2
+        old, size = self.stream.size, self.stream.size + len(new)
+        new_stream = np.array([n for n, _ in new])
+        durations = [path.durations() for _, path in new]
+        new_run = self.run_of[new_stream]
+        self.stream = np.concatenate([self.stream, new_stream])
+        added = []  # (run, positions in new, places in the run) of the new vertices
+        for r, (first, _) in enumerate(layout.runs):
+            mine = np.flatnonzero(new_run == r)
+            if mine.size == 0:
                 continue
-            i0m, j0m = layout.i_offsets[m], layout.j_offsets[m]
-            im, jm = layout.i_sizes[m], layout.j_sizes[m]
-            c = inst.psi[:, j0m : j0m + jm].T @ image[:, i0m : i0m + im]
-            row[members] = c[self.rows[m], np.arange(im)].sum(axis=1)
-        row /= layout.i_total
-        row[self.members[n]] += self.durations[n] @ d_new / sigma2
-        j_slice = slice(j0, j0 + layout.j_sizes[n])
-        b_new = -float(inst.priors.mu[j_slice] @ d_new) / sigma2
-        b_new += inst.priors.alpha * _path_sum(inst.band[n], path)
+            J, I = layout.j_sizes[first], layout.i_sizes[first]
+            place = new_stream[mine] - first
+            paths = np.array([new[v][1].assignment for v in mine])
+            self.members[r] = np.concatenate([self.members[r], old + mine])
+            self.place[r] = np.concatenate([self.place[r], place])
+            self.cells[r] = np.concatenate(
+                [self.cells[r], (place[:, None] * J + paths) * I + np.arange(I)]
+            )
+            self.durations[r] = np.concatenate([self.durations[r], [durations[v] for v in mine]])
+            added.append((r, mine, place))
+
+        rows = np.empty((len(new), size))
+        b = np.concatenate([self.b, np.empty(len(new))])
+        for v, (n, path) in enumerate(new):
+            i0, j0 = layout.i_offsets[n], layout.j_offsets[n]
+            # psi V Q of the new vertex needs only stream n's rows of Q.
+            image = psi[:, j0 + path.assignment] @ q[i0 : i0 + path.i_count]
+            for r, (first, count) in enumerate(layout.runs):
+                products = _run_products(psi, image, layout, first, count)
+                rows[v, self.members[r]] = products.take(self.cells[r]).sum(axis=1)
+                del products  # a (count, J, I) array: keep one alive at a time
+            b_new = -float(p.mu[j0 : j0 + layout.j_sizes[n]] @ durations[v]) / sigma2
+            b_new += p.alpha * _path_sum(inst.band[n], path)
+            b[old + v] = b_new
+        rows /= layout.i_total
+        for r, mine, place in added:
+            # The duration term <V_k 1, V_l 1> / sigma^2 of the pairs in one stream.
+            dots = self.durations[r] @ self.durations[r][-mine.size :].T
+            member, new_k = np.nonzero(self.place[r][:, None] == place)
+            rows[mine[new_k], self.members[r][member]] += dots[member, new_k] / sigma2
 
         h = np.empty((size, size))
-        h[:-1, :-1] = self.h
-        h[-1, :] = row
-        h[:, -1] = row
-        self.h = h
-        self.b = np.append(self.b, b_new)
-        self.w = np.append(self.w, 0.0)
+        h[:old, :old] = self.h
+        for k, row in enumerate(rows, old):
+            h[k] = row
+            h[:, k] = row
+        self.h, self.b = h, b
+        self.w = np.concatenate([self.w, np.zeros(len(new))])
 
     def prune(self):
         """Drop the vertices of weight zero and number the rest in the same order."""
@@ -254,27 +338,25 @@ class _ActiveSet:
         renumbered = np.cumsum(alive) - 1
         self.stream = self.stream[keep]
         self.w = self.w[keep]
-        self.h = self.h[np.ix_(keep, keep)]
+        self.h = self.h.take(keep, axis=0).take(keep, axis=1)
         self.b = self.b[keep]
-        for m, members in enumerate(self.members):
+        for r, members in enumerate(self.members):
             live = alive[members]
-            self.members[m] = renumbered[members[live]]
-            self.rows[m] = self.rows[m][live]
-            self.durations[m] = self.durations[m][live]
-        self.lookup = {
-            (m, row.tobytes()): k
-            for m, members in enumerate(self.members)
-            for k, row in zip(members.tolist(), self.rows[m])
-        }
+            self.members[r] = renumbered[members[live]]
+            self.place[r] = self.place[r][live]
+            self.cells[r] = self.cells[r][live]
+            self.durations[r] = self.durations[r][live]
+        self.lookup = {key: k for k, key in enumerate(compress(self.lookup, alive))}
 
     def corrected_weights(self, v_paths):
         """Add v_paths to the active sets; weights after a step towards them and a full correction.
 
         The Frank-Wolfe step towards the product vertex is the exact line
         search in the weights; the correction starts from it, so it is never
-        worse.  The current weights are left as they are.
+        worse.  The current weights are left as they are.  Returns the
+        weights and the number of steps the correction took.
         """
-        fw = [self.index(n, v) for n, v in enumerate(v_paths)]
+        fw = self.index(enumerate(v_paths))
         w = self.w
         d = -w
         d[fw] += 1.0
@@ -299,19 +381,51 @@ def _sum_zero_basis(stream_f):
     ascending order.  Column k of a stream's block is 1/sqrt(k(k+1)) on its
     first k entries, -k/sqrt(k(k+1)) on entry k + 1 and 0 elsewhere.
     """
+    # In stream order (a stable sort of the entries) the streams' blocks are
+    # consecutive: column c has its nonzeros on sorted entries first[c] to
+    # last[c], the last of which holds its -k entry.
     order = np.argsort(stream_f, kind="stable")
-    streams, first, counts = np.unique(stream_f[order], return_index=True, return_counts=True)
-    # Position of each entry among its stream's entries.
-    position = np.empty(stream_f.size, dtype=np.int64)
-    position[order] = np.arange(stream_f.size) - np.repeat(first, counts)
-    # Stream and k of each column.
-    col_stream = np.repeat(streams, counts - 1)
-    k = np.arange(col_stream.size) - np.repeat(first - np.arange(streams.size), counts - 1) + 1
+    counts = np.bincount(stream_f)
+    counts = counts[counts > 0]
+    col_stream = np.repeat(np.arange(counts.size), counts - 1)
+    col = np.arange(col_stream.size)
+    last = col + col_stream + 1
+    first = (np.cumsum(counts) - counts)[col_stream]
+    k = last - first
     norm = np.sqrt(k * (k + 1))
-    same = stream_f[:, None] == col_stream
-    pos = position[:, None]
-    z = np.where(same & (pos < k), 1.0 / norm, 0.0)
-    return np.where(same & (pos == k), -k / norm, z)
+    # The nonzeros, column by column.
+    col_of = np.repeat(col, k + 1)
+    sorted_row = np.arange(col_of.size) - (np.cumsum(k + 1) - (k + 1) - first)[col_of]
+    values = np.where(sorted_row < last[col_of], (1.0 / norm)[col_of], (-k / norm)[col_of])
+    z = np.zeros((stream_f.size, col.size))
+    z[order[sorted_row], col_of] = values
+    return z
+
+
+def _cholesky_solve(a, b):
+    """x with a x = b, from the Cholesky factor of a's upper triangle.
+
+    scipy's cho_factor(a, overwrite_a=True) and then cho_solve, without
+    their wrappers: the same potrf and potrs of scipy's LAPACK, called with
+    the same arguments, and the same checks and error messages.
+    """
+    if not np.isfinite(a).all():
+        raise ValueError("array must not contain infs or NaNs")
+    c, info = dpotrf(a, lower=False, clean=False, overwrite_a=True)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite"
+        )
+    if info < 0:
+        raise ValueError(
+            f'LAPACK reported an illegal value in {-info}-th argument on entry to "POTRF".'
+        )
+    if not np.isfinite(b).all():
+        raise ValueError("array must not contain infs or NaNs")
+    x, info = dpotrs(c, b, lower=False, overwrite_b=False)
+    if info != 0:
+        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
+    return x
 
 
 def _face_direction(h, g, free, stream):
@@ -328,10 +442,10 @@ def _face_direction(h, g, free, stream):
     d = np.zeros_like(g)
     if z.shape[1] == 0:
         return d
-    ridge = 1e-10 * np.max(np.diag(h)) or 1.0
-    a = z.T @ (h[np.ix_(f, f)] @ z)
-    a[np.diag_indices_from(a)] += ridge
-    d[f] = z @ -cho_solve(cho_factor(a, overwrite_a=True), z.T @ g[f])
+    ridge = 1e-10 * h.diagonal().max() or 1.0
+    a = z.T @ (h.take(f, axis=0).take(f, axis=1) @ z)
+    a.flat[:: a.shape[0] + 1] += ridge
+    d[f] = z @ -_cholesky_solve(a, z.T @ g[f])
     return d
 
 
@@ -354,10 +468,12 @@ def _minimize_on_simplices(h, b, stream, n_streams, w):
     the weight of most negative reduced cost (re-)enters; none negative is
     the optimum.  Should that direction not descend, a projected-gradient
     step is taken instead.  Each step is an exact line search, so the
-    objective never rises.
+    objective never rises.  Returns the weights and the number of steps
+    taken; at most 3 w.size + 10 are.
     """
     w = w.copy()
     free = w > 0
+    steps = 0
     for _ in range(3 * w.size + 10):
         g = h @ w + b
         r = _reduced_costs(g, free, stream, n_streams)
@@ -380,7 +496,8 @@ def _minimize_on_simplices(h, b, stream, n_streams, w):
         np.maximum(w, 0.0, out=w)
         w /= np.bincount(stream, w, n_streams)[stream]
         free = w > 0
-    return w
+        steps += 1
+    return w, steps
 
 
 def _initial_paths(instance):
@@ -407,8 +524,11 @@ def solve(instance, max_iter=2000, gap_tol=1e-6):
 
     It starts from the diagonal path of each stream, or the nearest
     mask-feasible vertex where the mask forbids it.  Iterate t has one
-    entry in each trace: its objective and its gap certificate
-    <grad, Y_t - V_t>, which bounds its distance to the relaxed optimum.
+    entry in each trace: its objective; its gap certificate
+    <grad, Y_t - V_t>, which bounds its distance to the relaxed optimum;
+    the number of vertices that carry it (one per stream at t = 0, after
+    that the active set the previous correction left); and the steps of
+    the correction made from it (0 where none was).
     The objective trace is non-increasing.  The solve stops at the first
     iterate t where one of these holds, and returns that iterate:
 
@@ -426,8 +546,7 @@ def solve(instance, max_iter=2000, gap_tol=1e-6):
     layout = instance.layout
     paths = _initial_paths(instance)
     active = _ActiveSet(instance)
-    for n, p in enumerate(paths):
-        active.index(n, p)
+    active.index(enumerate(paths))
     active.w[:] = 1.0
     y = blocks_to_matrix(paths, layout)
 
@@ -442,6 +561,8 @@ def solve(instance, max_iter=2000, gap_tol=1e-6):
         gap = active.gap(grad, v_paths)
         result.objective_trace.append(obj)
         result.gap_trace.append(gap)
+        result.active_set_trace.append(active.stream.size)
+        result.face_steps_trace.append(0)
         result.iterations = t
         if gap <= gap_tol:
             result.stop_reason = "gap_tol"
@@ -449,7 +570,7 @@ def solve(instance, max_iter=2000, gap_tol=1e-6):
         if t == max_iter:
             result.stop_reason = "max_iter"
             break
-        w = active.corrected_weights(v_paths)
+        w, result.face_steps_trace[-1] = active.corrected_weights(v_paths)
         new_obj = active.objective(w)
         if not np.isfinite(new_obj):
             raise ValueError(f"non-finite objective at iteration {t}")

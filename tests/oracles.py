@@ -5,7 +5,9 @@ Helmert basis of the weight-space correction, the vertex matrix of a path,
 the dense kernel Q and the dense gradient, the joint ridge objective, the
 three rounding criteria and a duality-gap certificate of a solve.  Each is
 written independently of the fast path it arbitrates; none is used by the
-package itself.
+package itself.  The stream-by-stream gradient and Gram rows and the scipy
+face step are the forms the package's batched ones replaced, kept here
+because the tests require their bits.
 """
 
 from itertools import combinations
@@ -142,6 +144,100 @@ def gradient_dense(instance, y):
     g += d[:, None]
     g += p.alpha * block_diag(*instance.band)
     return g
+
+
+def _span(start, size, total):
+    """start:start+size, or two indices around start where size is 1 < total, and start's place."""
+    if size == 1 < total:
+        lo = min(start, total - 2)
+        return slice(lo, lo + 2), start - lo
+    return slice(start, start + size), 0
+
+
+def gradient_per_stream(instance, y):
+    """Stream by stream, the gradient's diagonal blocks with one product psi_n^T x_n each.
+
+    A block of one row (column) is taken from the product of a two-row
+    (two-column) slice, which keeps it on BLAS's matrix kernel.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    p, layout = instance.priors, instance.layout
+    x = (instance.psi @ y) @ instance.kernel.q_matrix
+    d = (y.sum(axis=1) - p.mu) / p.sigma**2
+    blocks = []
+    for n, y_c in enumerate(instance.band):
+        J, I = y_c.shape
+        j0 = layout.j_offsets[n]
+        rows, r = _span(j0, J, layout.j_total)
+        cols, c = _span(layout.i_offsets[n], I, layout.i_total)
+        g = (instance.psi[:, rows].T @ x[:, cols])[r : r + J, c : c + I]
+        g /= layout.i_total
+        g += d[j0 : j0 + J, None]
+        g += p.alpha * y_c
+        blocks.append(g)
+    return blocks
+
+
+def gram_per_vertex(instance, vertices):
+    """H and b of the weight-space quadratic for (stream, path) pairs added one at a time.
+
+    A pair already added is skipped.  Each new vertex's row of H is
+    computed stream by stream against the vertices before it and itself:
+    (1/I) <psi_m V_l, (psi V Q)_m> summed over V_l's cells, plus the
+    duration term within its stream; H grows by one row and column.
+    """
+    layout, psi, q, p = instance.layout, instance.psi, instance.kernel.q_matrix, instance.priors
+    sigma2 = p.sigma**2
+    members = [[] for _ in range(layout.n_streams)]
+    rows = [[] for _ in range(layout.n_streams)]
+    durations = [[] for _ in range(layout.n_streams)]
+    seen, b = set(), []
+    h = np.zeros((0, 0))
+    for n, path in vertices:
+        key = (n, path.assignment.tobytes())
+        if key in seen:
+            continue
+        seen.add(key)
+        i0, j0 = layout.i_offsets[n], layout.j_offsets[n]
+        image = psi[:, j0 + path.assignment] @ q[i0 : i0 + path.i_count]
+        size = len(b) + 1
+        members[n].append(size - 1)
+        rows[n].append(path.assignment)
+        d_new = path.durations()
+        durations[n].append(d_new)
+        row = np.empty(size)
+        for m in range(layout.n_streams):
+            if not members[m]:
+                continue
+            i0m, j0m = layout.i_offsets[m], layout.j_offsets[m]
+            im, jm = layout.i_sizes[m], layout.j_sizes[m]
+            c = psi[:, j0m : j0m + jm].T @ image[:, i0m : i0m + im]
+            row[members[m]] = c[np.array(rows[m]), np.arange(im)].sum(axis=1)
+        row /= layout.i_total
+        row[members[n]] += np.array(durations[n]) @ d_new / sigma2
+        b_new = -float(p.mu[j0 : j0 + layout.j_sizes[n]] @ d_new) / sigma2
+        b_new += p.alpha * float(instance.band[n][path.assignment, np.arange(path.i_count)].sum())
+        grown = np.empty((size, size))
+        grown[:-1, :-1] = h
+        grown[-1, :] = row
+        grown[:, -1] = row
+        h = grown
+        b.append(b_new)
+    return h, np.array(b)
+
+
+def face_direction_scipy(h, g, free, stream):
+    """The face step of the weight-space correction with np.ix_, cho_factor and cho_solve."""
+    f = np.flatnonzero(free)
+    z = sum_zero_basis(stream[f])
+    d = np.zeros_like(g)
+    if z.shape[1] == 0:
+        return d
+    ridge = 1e-10 * np.max(np.diag(h)) or 1.0
+    a = z.T @ (h[np.ix_(f, f)] @ z)
+    a[np.diag_indices_from(a)] += ridge
+    d[f] = z @ -cho_solve(cho_factor(a, overwrite_a=True), z.T @ g[f])
+    return d
 
 
 def sum_zero_basis(stream_f):

@@ -2,8 +2,9 @@
 
 tracing.WRAPPED lists the module attributes a traced benchmark run rebinds.
 One that is gone makes that run report the layer as unmeasured and the run
-as incorrect, so each must resolve.  The module is only read here; no
-wrapper is installed in the test process.
+as incorrect, so each must resolve.  The tracing module is only read here;
+its wrappers are not installed in the test process.  A solve must also
+still call the attributes it rebinds, which counting wrappers check.
 """
 
 import importlib
@@ -26,3 +27,33 @@ def test_every_wrapped_attribute_resolves():
     for module_name, attr, span, _ in tracing.WRAPPED:
         fn = getattr(importlib.import_module(module_name), attr, None)
         assert callable(fn), f"{module_name}.{attr}, wrapped as {span}, is gone"
+
+
+def test_solve_calls_gradient_and_oracle_through_module_attributes(monkeypatch, tmp_path):
+    # The benchmark times solver.gradient and polytope.lmo_blocks by rebinding
+    # seqalign.solver.gradient and seqalign.solver.lmo_blocks; a solve that
+    # reached them another way would leave those spans empty.
+    from dataclasses import replace
+
+    from seqalign import pipeline, solver
+    from seqalign.supervision import assemble
+
+    calls = {"gradient": 0, "lmo_blocks": 0}
+
+    def counting(name):
+        fn = getattr(solver, name)
+
+        def counted(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return counted
+
+    for name in calls:
+        monkeypatch.setattr(solver, name, counting(name))
+    manifest = pipeline.run_synth(tmp_path, n_streams=3, sentences=2, intervals=12, seed=0)
+    hp = replace(manifest.hyperparameters, max_iter=50)
+    inst = assemble(pipeline.load_streams(manifest), hp)
+    res = solver.solve(inst, max_iter=hp.max_iter, gap_tol=hp.gap_tol)
+    assert res.iterations > 1
+    assert calls == {"gradient": res.iterations + 1, "lmo_blocks": res.iterations + 1}

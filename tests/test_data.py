@@ -485,8 +485,8 @@ class TestCli:
         report = json.loads((run / "report.json").read_text())
         assert report["converged"] and report["stop_reason"] == "gap_tol"
         for line in (run / "trace.csv").read_text().splitlines()[1:]:
-            _, objective, gap = line.split(",")
-            float(objective), float(gap)
+            _, objective, gap, active_set, face_steps = line.split(",")
+            float(objective), float(gap), int(active_set), int(face_steps)
         assert (
             cli.main(
                 ["eval", "--manifest", str(suite / "manifest.json"), "--out-dir", str(run)]
@@ -687,8 +687,8 @@ class TestCli:
         # The checks e2ebench makes on every align, on a smaller pinned-32x40:
         # half the streams admit one path each.
         suite = tmp_path / "suite"
-        pipeline.run_synth(suite, n_streams=8, sentences=3, intervals=40,
-                           supervised_fraction=0.5, seed=seed)
+        manifest = pipeline.run_synth(suite, n_streams=8, sentences=3, intervals=40,
+                                      supervised_fraction=0.5, seed=seed)
         flags = ["--supervision", "hard", "--max-iter", "100", "--gap-tol", "1e-6",
                  "--rounding", "model"]
         runs = [tmp_path / "a", tmp_path / "b"]
@@ -702,6 +702,22 @@ class TestCli:
         gaps = [float(r[2]) for r in rows] + [report["final_gap"]]
         assert min(gaps) >= -1e-12
         assert all(b - a <= 1e-12 for a, b in zip(objectives, objectives[1:]))
+        # The telemetry columns are integers, and repeat from align to align.
+        traces = [(run / "trace.csv").read_text() for run in runs]
+        assert traces[0] == traces[1]
+        header, *lines = traces[0].splitlines()
+        assert header == "iteration,objective,gap,active_set,face_steps"
+        active_set, face_steps = zip(*((int(r[3]), int(r[4])) for r in rows))
+        assert active_set[0] == 8 and all(a >= 8 for a in active_set)
+        assert face_steps[-1] == 0 and all(s >= 0 for s in face_steps)
+        # The first three columns are written as they were before the telemetry.
+        hp = replace(manifest.hyperparameters, supervision="hard", max_iter=100, gap_tol=1e-6,
+                     rounding="model")
+        _, result, _ = pipeline.align_streams(pipeline.load_streams(manifest), hp)
+        assert [",".join(r.split(",")[:3]) for r in lines] == [
+            f"{t},{o!r},{g!r}"
+            for t, (o, g) in enumerate(zip(result.objective_trace, result.gap_trace))
+        ]
         for n in range(8):
             name = f"pred_stream_{n:02d}.csv"
             assert (runs[0] / name).read_bytes() == (runs[1] / name).read_bytes()

@@ -10,6 +10,7 @@ from seqalign.data import Hyperparameters
 from seqalign.polytope import AlignmentPath, band_indicator, blocks_to_matrix
 from seqalign.solver import (
     _ActiveSet,
+    _face_direction,
     _minimize_on_simplices,
     _sum_zero_basis,
     exact_line_search,
@@ -22,7 +23,10 @@ from seqalign.supervision import Annotation, Stream, assemble
 from conftest import make_instance, make_stream
 from oracles import (
     enumerate_paths,
+    face_direction_scipy,
     gradient_dense,
+    gradient_per_stream,
+    gram_per_vertex,
     path_to_matrix,
     reference_certificate,
     ridge_residual,
@@ -378,7 +382,8 @@ def test_simplex_correction_reaches_kkt_point():
         b = rng.standard_normal(12)
         w0 = np.zeros(12)
         w0[[0, 1, 2]] = 1.0
-        w = _minimize_on_simplices(h, b, stream, 3, w0)
+        w, steps = _minimize_on_simplices(h, b, stream, 3, w0)
+        assert 0 < steps <= 3 * w.size + 10
         assert np.all(w >= 0)
         np.testing.assert_allclose(np.bincount(stream, w), 1.0, atol=1e-12)
         g = h @ w + b
@@ -424,25 +429,27 @@ class TestActiveSet:
         inst = self.instance(np.random.default_rng(18))
         active = _ActiveSet(inst)
         vertices = self.interleaved_vertices(inst)
-        assert [active.index(n, p) for n, p in vertices] == list(range(len(vertices)))
+        assert active.index(vertices) == list(range(len(vertices)))
         copies = [(n, AlignmentPath(p.assignment.copy(), p.j_count)) for n, p in vertices]
-        assert [active.index(n, p) for n, p in copies] == list(range(len(vertices)))
+        assert active.index(copies) == list(range(len(vertices)))
+        assert [active.index([v])[0] for v in copies] == list(range(len(vertices)))
         assert active.stream.size == active.w.size == len(vertices)
-        # The same assignment in another stream of the same shape is another vertex.
+        # The same assignment in another stream of the same shape is another vertex,
+        # and a vertex given twice in one call is added once.
         stream_0 = [p for n, p in vertices if n == 0]
         extra = next(p for p in enumerate_paths(6, 3) if not any(
             np.array_equal(p.assignment, q.assignment) for n, q in vertices if n == 1))
-        assert active.index(0, stream_0[0]) == 0
-        assert active.index(1, extra) == len(vertices)
-        assert active.index(0, extra) == len(vertices) + 1
+        k = len(vertices)
+        assert active.index([(0, stream_0[0]), (1, extra), (0, extra), (1, extra)]) == [
+            0, k, k + 1, k]
+        assert active.stream.size == active.h.shape[0] == active.b.size == k + 2
 
     def test_prune_renumbers_lookups_and_stream_arrays(self):
         rng = np.random.default_rng(19)
         inst = self.instance(rng)
         active = _ActiveSet(inst)
         vertices = self.interleaved_vertices(inst)
-        for n, p in vertices:
-            active.index(n, p)
+        active.index(vertices)
         h, b = active.h.copy(), active.b.copy()
         dead = [0, 4, 5]
         active.w = rng.random(len(vertices)) + 0.1
@@ -451,22 +458,159 @@ class TestActiveSet:
         active.prune()
 
         kept = [vertices[k] for k in keep]
-        for k, (n, p) in enumerate(kept):
-            assert active.index(n, p) == k
+        assert active.index(kept) == list(range(keep.size))
+        assert list(active.lookup.values()) == list(range(keep.size))
         np.testing.assert_array_equal(active.stream, [n for n, _ in kept])
         np.testing.assert_array_equal(active.h, h[np.ix_(keep, keep)])
         np.testing.assert_array_equal(active.b, b[keep])
-        for n in range(inst.layout.n_streams):
-            members = np.flatnonzero(active.stream == n)
-            np.testing.assert_array_equal(active.members[n], members)
+        # Streams 0 and 1 are one run of shape (3, 6); stream 2 is a run of its own.
+        for r, streams in enumerate([(0, 1), (2,)]):
+            members = np.flatnonzero(np.isin(active.stream, streams))
+            np.testing.assert_array_equal(active.members[r], members)
+            np.testing.assert_array_equal(active.place[r], active.stream[members] - streams[0])
             paths = [kept[k][1] for k in members]
-            np.testing.assert_array_equal(active.rows[n], [p.assignment for p in paths])
-            np.testing.assert_array_equal(active.durations[n], [p.durations() for p in paths])
+            J, I = inst.layout.j_sizes[streams[0]], inst.layout.i_sizes[streams[0]]
+            np.testing.assert_array_equal(active.cells[r], [
+                (n * J + p.assignment) * I + np.arange(I)
+                for n, p in zip(active.place[r], paths)])
+            np.testing.assert_array_equal(active.durations[r], [p.durations() for p in paths])
 
         # A pruned vertex comes back at the end, with its H row and b entry as before
         # (up to round-off where the other vertex's row computed the entry).
-        n, p = vertices[dead[0]]
-        assert active.index(n, p) == keep.size
+        assert active.index([vertices[dead[0]]]) == [keep.size]
         np.testing.assert_allclose(active.h[-1, :-1], h[dead[0], keep], rtol=1e-12, atol=0)
         assert active.h[-1, -1] == h[dead[0], dead[0]]
         assert active.b[-1] == b[dead[0]]
+
+
+def layout_instance(rng, shapes, e_dim=4, alpha=0.3, beta=0.2):
+    """An instance of streams of random features with the given (I_n, J_n) shapes, in order."""
+    streams = [
+        Stream(id=f"s{k}", phi=rng.standard_normal((3, i)), psi=rng.standard_normal((e_dim, j)))
+        for k, (i, j) in enumerate(shapes)
+    ]
+    hp = Hyperparameters(lam=0.2, sigma=1.5, alpha=alpha, beta=beta, mu_background=None,
+                         supervision="none")
+    return assemble(streams, hp)
+
+
+class TestBatchedBlocksBitForBit:
+    """The blocks of a run of streams of one shape come from one stacked product.
+
+    gradient and _ActiveSet must keep the bits of the stream-by-stream
+    products they replaced (oracles.gradient_per_stream, oracles.gram_per_vertex).
+    """
+
+    LAYOUTS = {
+        "one run": [(12, 5)] * 4,
+        "run split by another shape": [(9, 3)] * 2 + [(14, 5)] + [(9, 3)] * 3,
+        "one row and one column": [(1, 1), (1, 1), (6, 1), (6, 1), (7, 3), (6, 1)],
+        "single stream": [(11, 4)],
+    }
+
+    @staticmethod
+    def check(rng, inst, n_vertices=5):
+        layout = inst.layout
+        paths = [
+            [random_path(rng, i, j) if j > 1 else AlignmentPath(np.zeros(i, int), 1)
+             for _ in range(n_vertices)]
+            for i, j in zip(layout.i_sizes, layout.j_sizes)
+        ]
+        hull = sum(
+            w * blocks_to_matrix([p[r] for p in paths], layout)
+            for r, w in enumerate(rng.dirichlet(np.ones(n_vertices)))
+        )
+        for y in (hull, rng.standard_normal((layout.j_total, layout.i_total))):
+            blocks, reference = gradient(inst, y), gradient_per_stream(inst, y)
+            assert len(blocks) == layout.n_streams
+            for g, ref in zip(blocks, reference):
+                assert np.array_equal(g, ref)
+
+        # Batches of one vertex per stream, as solve adds them; then single
+        # vertices of streams in turn, repeats among them.
+        vertices = [(n, paths[n][r]) for r in range(2) for n in range(layout.n_streams)]
+        active = _ActiveSet(inst)
+        for r in range(2):
+            active.index(vertices[r * layout.n_streams : (r + 1) * layout.n_streams])
+        for n in range(layout.n_streams):
+            active.index([(n, paths[n][3]), (n, paths[n][0])])
+            vertices += [(n, paths[n][3])]
+        h, b = gram_per_vertex(inst, vertices)
+        assert active.h.shape == h.shape
+        assert np.array_equal(active.h, h)
+        assert np.array_equal(active.b, b)
+
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    def test_small_layouts(self, layout):
+        rng = np.random.default_rng(list(self.LAYOUTS).index(layout) + 30)
+        self.check(rng, layout_instance(rng, self.LAYOUTS[layout]))
+
+    def test_sixteen_streams_of_the_kernel_workload_shape(self):
+        # 16 streams of 41 x 250 with E = 8, the shape of the benchmark's
+        # kernel workload.  Here a stacked product on gathered copies
+        # (x[:, idx] is laid out in Fortran order) differs from the
+        # stream-by-stream products in the last bits; the views do not.
+        rng = np.random.default_rng(34)
+        self.check(rng, layout_instance(rng, [(250, 41)] * 16, e_dim=8), n_vertices=4)
+
+
+class TestFaceDirection:
+    """_face_direction against the scipy cho_factor / cho_solve form it replaced."""
+
+    @staticmethod
+    def face(rng, n_streams, size):
+        stream = rng.integers(0, n_streams, size)
+        x = rng.standard_normal((int(rng.integers(1, size + 3)), size))
+        h = x.T @ x
+        return h, rng.standard_normal(size), rng.random(size) < 0.7, stream
+
+    def test_matches_reference_bit_for_bit(self):
+        rng = np.random.default_rng(40)
+        for _ in range(300):
+            h, g, free, stream = self.face(rng, int(rng.integers(1, 6)), int(rng.integers(1, 40)))
+            d, ref = _face_direction(h, g, free, stream), face_direction_scipy(h, g, free, stream)
+            np.testing.assert_array_equal(d.view(np.int64), ref.view(np.int64))
+
+    def test_empty_face_and_one_entry_streams(self):
+        rng = np.random.default_rng(41)
+        h, g, _, _ = self.face(rng, 3, 6)
+        stream = np.array([0, 1, 2, 0, 1, 2])
+        for free in (np.zeros(6, bool), np.array([1, 1, 1, 0, 0, 0], bool)):
+            d = _face_direction(h, g, free, stream)
+            assert np.array_equal(d, np.zeros(6))
+            assert np.array_equal(d, face_direction_scipy(h, g, free, stream))
+        # One stream of one entry beside one of several.
+        free = np.array([1, 1, 0, 1, 0, 0], bool)
+        d = _face_direction(h, g, free, stream)
+        assert d[1] == 0.0 and d[0] + d[3] == pytest.approx(0.0, abs=1e-12)
+        assert np.array_equal(d, face_direction_scipy(h, g, free, stream))
+
+    @staticmethod
+    def errors(*args):
+        raised = []
+        for fn in (_face_direction, face_direction_scipy):
+            with pytest.raises((ValueError, np.linalg.LinAlgError)) as e:
+                fn(*args)
+            raised.append((type(e.value), str(e.value)))
+        return raised
+
+    def test_non_finite_face_raises_scipys_value_error(self):
+        rng = np.random.default_rng(42)
+        h, g, _, _ = self.face(rng, 2, 8)
+        h += np.eye(8)
+        stream, free = np.arange(8) % 2, np.ones(8, bool)
+        h[2, 4] = np.nan
+        (mine, theirs) = self.errors(h, g, free, stream)
+        assert mine == theirs and mine[0] is ValueError
+        h[2, 4] = 0.0
+        g[3] = np.inf
+        with np.errstate(invalid="ignore"):
+            (mine, theirs) = self.errors(h, g, free, stream)
+        assert mine == theirs and mine[0] is ValueError
+
+    def test_indefinite_face_raises_scipys_linalg_error(self):
+        h = -np.eye(6)
+        stream, free = np.arange(6) % 2, np.ones(6, bool)
+        (mine, theirs) = self.errors(h, np.ones(6), free, stream)
+        assert mine == theirs and mine[0] is np.linalg.LinAlgError
+        assert "leading minor" in mine[1]
