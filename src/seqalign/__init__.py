@@ -7,13 +7,7 @@ oracle, duration/band priors, semi-supervised constraints and exact
 vertex roundings.
 """
 
-from .core import (
-    CostKernel,
-    augment_affine,
-    compute_q,
-    discriminative_cost,
-    fit_model,
-)
+from .core import CostKernel, augment_affine, compute_q, fit_model
 from .data import Hyperparameters
 from .evaluation import diagonal_path, jaccard_score, random_path
 from .polytope import (
@@ -26,16 +20,9 @@ from .polytope import (
     lmo_blocks,
     minimize_linear,
 )
-from .priors import PriorConfig, band_penalty, duration_penalty
+from .priors import PriorConfig
 from .rounding import round_feature, round_model, round_nearest
-from .solver import (
-    ProblemInstance,
-    SolveResult,
-    exact_line_search,
-    gradient,
-    objective,
-    solve,
-)
+from .solver import ProblemInstance, SolveResult, gradient, solve
 from .supervision import (
     Annotation,
     Stream,

@@ -1,26 +1,20 @@
-"""Hot numeric kernel: one dynamic program over a stack of alignment lattices.
+"""Numeric kernel: one dynamic program over a stack of alignment lattices.
 
 ``dp_align(cost, starts)`` sweeps a (R, C) lattice that stacks the cost
 blocks of every stream of width C (polytope._sweep builds it) column by
 column, all those streams at once, and walks each stream's path forward
 from its row ``starts[n]`` of column 0.  The lattice's last row must be +inf, so that
 no path steps past it, and the sweep overwrites the lattice with the
-suffix costs.  The DP is the only loop that dominates runtime at scale.
-It runs as compiled loops when numba imports and as a numpy column sweep
-otherwise; both return identical paths.
+suffix costs.  The DP is a numpy column sweep.
 """
 
 import numpy as np
 
-try:
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:
-    HAVE_NUMBA = False
+# e2ebench/checks.py reads this to record the DP backend, which is numpy alone.
+HAVE_NUMBA = False
 
 
-def _dp_align_numpy(cost, starts):
+def dp_align(cost, starts):
     """Suffix-cost DP over monotone unit-step paths, vectorized over the lattice's rows.
 
     ``cost`` is a (R, C) float64 lattice, best in Fortran order, whose
@@ -45,31 +39,3 @@ def _dp_align_numpy(cost, starts):
     for c in range(1, C):
         np.add(rows[c - 1], down[c][rows[c - 1]], out=rows[c])
     return s[starts, 0], (paths - starts).T.copy()
-
-
-def _dp_align_loops(cost, starts):
-    s = cost
-    R, C = s.shape
-    for c in range(C - 2, -1, -1):
-        for r in range(R - 1):
-            best = s[r, c + 1]
-            if s[r + 1, c + 1] < best:
-                best = s[r + 1, c + 1]
-            s[r, c] += best
-    values = np.empty(starts.size)
-    paths = np.empty((starts.size, C), dtype=np.int64)
-    for n in range(starts.size):
-        j = starts[n]
-        values[n] = s[j, 0]
-        paths[n, 0] = 0
-        for c in range(1, C):
-            if s[j + 1, c] < s[j, c]:
-                j += 1
-            paths[n, c] = j - starts[n]
-    return values, paths
-
-
-if HAVE_NUMBA:
-    dp_align = njit(cache=True)(_dp_align_loops)
-else:
-    dp_align = _dp_align_numpy

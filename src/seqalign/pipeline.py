@@ -1,6 +1,7 @@
 """End-to-end runs: ingest, align, round, score, synthesize, sweep."""
 
 import json
+import os
 import time
 from dataclasses import asdict, replace
 from pathlib import Path
@@ -12,6 +13,8 @@ from .evaluation import jaccard_score
 from .rounding import ROUNDINGS, round_feature, round_model, round_nearest
 from .solver import solve
 from .supervision import Stream, assemble
+
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def load_streams(manifest):
@@ -97,6 +100,8 @@ def run_align(manifest, out_dir, overrides=None):
     overrides maps Hyperparameters fields to values that replace the manifest's.
     The report's timings are the seconds of each stage in order: load_s,
     assemble_s, solve_s, round_s and write_s (predictions and trace.csv).
+    Its blas_threads holds the BLAS thread variables the align ran with,
+    None where unset: the outputs' last bits depend on the thread count.
     """
     hp = replace(manifest.hyperparameters, **(overrides or {}))
     out_dir = Path(out_dir)
@@ -125,6 +130,7 @@ def run_align(manifest, out_dir, overrides=None):
         "stop_reason": result.stop_reason,
         "final_objective": result.objective_trace[-1],
         "final_gap": result.gap_trace[-1],
+        "blas_threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARS},
         "timings": timings,
     }
     (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")

@@ -1,15 +1,5 @@
-import numpy as np
-import pytest
-
 from seqalign.data import Hyperparameters
-from seqalign.polytope import minimize_linear
 from seqalign.supervision import Stream, assemble
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # First oracle call may trigger numba compilation; keep it out of timings.
-    minimize_linear(np.zeros((2, 3)))
 
 
 def random_small_shapes(rng, max_i=8, max_j=4):

@@ -4,25 +4,31 @@ tracing.WRAPPED lists the module attributes a traced benchmark run rebinds.
 One that is gone makes that run report the layer as unmeasured and the run
 as incorrect, so each must resolve.  The tracing module is only read here;
 its wrappers are not installed in the test process.  A solve must also
-still call the attributes it rebinds, which counting wrappers check.
+still call the attributes it rebinds, which counting wrappers check.  The
+environment record of a benchmark run (e2ebench/checks.py) reads the
+package too, and must still be built.
 """
 
 import importlib
 import importlib.util
+import json
+import os
 from pathlib import Path
 
-TRACING = Path(__file__).resolve().parent.parent / "e2ebench" / "tracing.py"
+ROOT = Path(__file__).resolve().parent.parent
 
 
-def load_tracing():
-    spec = importlib.util.spec_from_file_location("e2ebench_tracing", TRACING)
+def load_e2ebench(name):
+    """The module e2ebench/<name>.py, loaded from its file without running the benchmark."""
+    path = ROOT / "e2ebench" / f"{name}.py"
+    spec = importlib.util.spec_from_file_location(f"e2ebench_{name}", path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_wrapped_attribute_resolves():
-    tracing = load_tracing()
+    tracing = load_e2ebench("tracing")
     assert tracing.WRAPPED
     for module_name, attr, span, _ in tracing.WRAPPED:
         fn = getattr(importlib.import_module(module_name), attr, None)
@@ -57,3 +63,11 @@ def test_solve_calls_gradient_and_oracle_through_module_attributes(monkeypatch, 
     res = solver.solve(inst, max_iter=hp.max_iter, gap_tol=hp.gap_tol)
     assert res.iterations > 1
     assert calls == {"gradient": res.iterations + 1, "lmo_blocks": res.iterations + 1}
+
+
+def test_environment_record_names_the_numpy_dp():
+    # A benchmark run records its environment only from run.main, which the
+    # smoke test does not reach.
+    record = load_e2ebench("checks").environment(ROOT, dict(os.environ))
+    assert record["dp_backend"] == "numpy"
+    assert json.loads(json.dumps(record)) == record

@@ -547,6 +547,18 @@ class TestCli:
         written = json.loads((tmp_path / "run" / "report.json").read_text())
         assert written["timings"] == timings
 
+    def test_report_records_blas_thread_variables(self, tmp_path, monkeypatch):
+        manifest = pipeline.run_synth(tmp_path / "suite", n_streams=1, sentences=2,
+                                      intervals=8, seed=3)
+        monkeypatch.setenv("OMP_NUM_THREADS", "3")
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+        monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+        pipeline.run_align(manifest, tmp_path / "run")
+        written = json.loads((tmp_path / "run" / "report.json").read_text())
+        assert written["blas_threads"] == {
+            "OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": None,
+        }
+
     @pytest.mark.parametrize(
         "content",
         ["[]", '{"streams": 3}', '{"streams": [{"id": "a", "phi_path": 1, "psi_path": "b"}]}',

@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqalign import polytope
-from seqalign._kernels import _dp_align_loops, dp_align
+from seqalign._kernels import dp_align
 from seqalign.polytope import (
     AlignmentPath,
     CellMask,
@@ -391,20 +391,3 @@ class TestLmoBlocksSweep:
         cost = np.zeros((4, 6))
         cost[3, 0] = np.nan  # off-block: never read
         lmo_blocks(diagonal_blocks(cost, layout))
-
-
-class TestKernelBackends:
-    def test_numba_and_numpy_agree(self):
-        # _dp_align_loops is the source numba compiles; run here as plain Python.
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            rows = int(rng.integers(1, 12))
-            cols = int(rng.integers(1, 20))
-            cost = rng.standard_normal((rows + 1, cols))
-            cost[rng.random((rows + 1, cols)) < 0.2] = np.inf
-            cost[-1] = np.inf
-            starts = np.sort(rng.choice(rows, size=int(rng.integers(1, rows + 1)), replace=False))
-            v1, p1 = dp_align(np.asfortranarray(cost), starts)
-            v2, p2 = _dp_align_loops(cost.copy(), starts)
-            np.testing.assert_array_equal(v1, v2)
-            np.testing.assert_array_equal(p1, p2)

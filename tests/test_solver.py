@@ -2,6 +2,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqalign import pipeline
 from seqalign.core import fit_model
@@ -151,6 +153,37 @@ def annotated_stream(rng, sid, i_count, j_count):
         annotation=Annotation(tuple(zip(range(j_count), starts, ends))),
         supervised=bool(rng.integers(2)),
     )
+
+
+@st.composite
+def random_suites(draw):
+    """Streams of random (I_n, J_n) shapes, annotated on every row, and their settings.
+
+    A shape now and then repeats an earlier one, so runs of equal shapes
+    form, and some are split by another shape.
+    """
+    shapes = []
+    for _ in range(draw(st.integers(1, 6))):
+        if shapes and draw(st.integers(0, 2)) == 0:
+            shapes.append(draw(st.sampled_from(shapes)))
+        else:
+            j = draw(st.integers(1, 5))
+            shapes.append((draw(st.integers(j, 15)), j))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    streams = []
+    for n, (i, j) in enumerate(shapes):
+        stream = annotated_stream(rng, f"s{n}", i, j)
+        # Background rows, which soft supervision leaves free; at least one sentence row.
+        background = frozenset(np.flatnonzero(rng.random(j) < 0.3)[: j - 1].tolist())
+        stream.psi[:, sorted(background)] = 0.0
+        streams.append(replace(stream, background=background))
+    hp = Hyperparameters(
+        supervision=draw(st.sampled_from(["none", "soft", "hard"])),
+        sigma=draw(st.floats(0.5, 20)),
+        alpha=draw(st.floats(0, 1)),
+        beta=draw(st.floats(0, 1)),
+    )
+    return streams, hp
 
 
 class TestGradientBlocks:
@@ -339,9 +372,10 @@ class TestReferenceCertificate:
     """Each solve's answer, vouched for by a gap and objective computed without its code."""
 
     # Disagreements measured against the solver's own figures: up to 1.2e-15 in
-    # the gap and 2e-14 in objectives of 1.2 to 7.6.  The slack is 50 times the
-    # larger, and a million times below gap_tol, so a fault that leaves a gap
-    # of gap_tol unseen still fails.
+    # the gap and 2e-14 in objectives of 1.2 to 7.6 on the fixed suites, and up
+    # to 4.3e-13 in the objective over the random layouts.  The slack is a
+    # million times below gap_tol, so a fault that leaves a gap of gap_tol
+    # unseen still fails.
     SLACK = 1e-12
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -362,6 +396,17 @@ class TestReferenceCertificate:
         )
         hp = replace(manifest.hyperparameters, supervision=supervision)
         inst = assemble(pipeline.load_streams(manifest), hp)
+        res = solve(inst, max_iter=hp.max_iter, gap_tol=hp.gap_tol)
+        f, gap = reference_certificate(inst, res, hp)
+        assert res.converged
+        assert gap <= hp.gap_tol + self.SLACK
+        assert abs(f - res.objective_trace[-1]) <= self.SLACK
+
+    @settings(max_examples=300, derandomize=True, deadline=None)
+    @given(random_suites())
+    def test_random_layouts_meet_reference_certificate(self, suite):
+        streams, hp = suite
+        inst = assemble(streams, hp)
         res = solve(inst, max_iter=hp.max_iter, gap_tol=hp.gap_tol)
         f, gap = reference_certificate(inst, res, hp)
         assert res.converged
