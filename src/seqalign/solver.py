@@ -229,9 +229,15 @@ class _ActiveSet:
     def objective(self, w):
         return float(0.5 * (w @ (self.h @ w)) + self.b @ w + self.const)
 
-    def matrix(self):
-        """The iterate Y = sum_k w_k V_k, each cell summed in vertex order."""
+    def matrix(self, y):
+        """Write the iterate Y = sum_k w_k V_k into y, each cell summed in vertex order.
+
+        y is the dense (J_total, I_total) iterate, zero off the diagonal
+        blocks, where no vertex has a cell; only those blocks are cleared.
+        """
         layout = self.instance.layout
+        for n in range(layout.n_streams):
+            layout.block(y, n)[...] = 0.0
         cells, weights = [], []
         for r, (first, _) in enumerate(layout.runs):
             I = layout.i_sizes[first]
@@ -240,9 +246,7 @@ class _ActiveSet:
             i += layout.i_offsets[first] + self.place[r][:, None] * I
             cells.append((j * layout.i_total + i).ravel())
             weights.append(np.repeat(self.w[self.members[r]], I))
-        y = np.zeros((layout.j_total, layout.i_total))
         np.add.at(y.reshape(-1), np.concatenate(cells), np.concatenate(weights))
-        return y
 
     def gap(self, grad, v_paths):
         """<grad, Y - V>, summed stream by stream; grad is gradient's blocks."""
@@ -548,6 +552,7 @@ def solve(instance, max_iter=2000, gap_tol=1e-6):
     active = _ActiveSet(instance)
     active.index(enumerate(paths))
     active.w[:] = 1.0
+    # The one dense iterate: matrix() rebuilds it in place, and y_relaxed is it.
     y = blocks_to_matrix(paths, layout)
 
     result = SolveResult(y_relaxed=y, w_star=None)
@@ -579,8 +584,7 @@ def solve(instance, max_iter=2000, gap_tol=1e-6):
             break
         active.w, obj = w, new_obj
         active.prune()
-        y = active.matrix()
+        active.matrix(y)
 
-    result.y_relaxed = y
     result.w_star = fit_model(instance.psi, y, instance.phi, instance.kernel)
     return result

@@ -76,8 +76,8 @@ class Stream:
         return self.psi.shape[1]
 
 
-def build_interval_mask(ann, j_count, i_count, background_set=frozenset()):
-    """Soft supervision: annotated non-background rows confined to their intervals."""
+def _interval_mask(ann, j_count, i_count, background_set):
+    """The mask that confines annotated non-background rows to their intervals, unchecked."""
     ann.validate_range(j_count, i_count)
     forbidden = np.zeros((j_count, i_count), dtype=bool)
     for j, cols in ann.rows().items():
@@ -85,7 +85,12 @@ def build_interval_mask(ann, j_count, i_count, background_set=frozenset()):
             continue
         forbidden[j, :] = True
         forbidden[j, sorted(cols)] = False
-    mask = CellMask(forbidden)
+    return CellMask(forbidden)
+
+
+def build_interval_mask(ann, j_count, i_count, background_set=frozenset()):
+    """Soft supervision: annotated non-background rows confined to their intervals."""
+    mask = _interval_mask(ann, j_count, i_count, background_set)
     if not is_feasible(j_count, i_count, mask):
         raise InfeasibleError("annotated intervals admit no monotone path")
     return mask
@@ -103,14 +108,18 @@ def annotation_to_path(ann, j_count, i_count, background_set=frozenset()):
 
     Among paths respecting the interval mask, picks the one maximizing the
     number of columns placed inside annotated intervals (background rows
-    absorb the rest), deterministically via the oracle's tie-breaking.
+    absorb the rest), deterministically via the oracle's tie-breaking.  The
+    one DP of the oracle is also the mask's feasibility check.
     """
-    mask = build_interval_mask(ann, j_count, i_count, background_set)
+    mask = _interval_mask(ann, j_count, i_count, background_set)
     reward = np.zeros((j_count, i_count))
     for j, cols in ann.rows().items():
         if j not in background_set:
             reward[j, sorted(cols)] = -1.0
-    path, _ = minimize_linear(reward, mask)
+    try:
+        path, _ = minimize_linear(reward, mask)
+    except InfeasibleError:
+        raise InfeasibleError("annotated intervals admit no monotone path") from None
     return path
 
 

@@ -1,13 +1,14 @@
 """Brute-force references the tests check the package against.
 
 Exhaustive path enumeration, the per-stream DP and linear oracle, the
-Helmert basis of the weight-space correction, the vertex matrix of a path,
-the dense kernel Q and the dense gradient, the joint ridge objective, the
-three rounding criteria and a duality-gap certificate of a solve.  Each is
-written independently of the fast path it arbitrates; none is used by the
-package itself.  The stream-by-stream gradient and Gram rows and the scipy
-face step are the forms the package's batched ones replaced, kept here
-because the tests require their bits.
+Helmert basis of the weight-space correction, the vertex matrix of a path
+and the dense iterate of weighted paths, the dense kernel Q and the dense
+gradient, the joint ridge objective, the three rounding criteria and a
+duality-gap certificate of a solve.  Each is written independently of the
+fast path it arbitrates; none is used by the package itself.  The
+stream-by-stream gradient and Gram rows and the scipy face step are the
+forms the package's batched ones replaced, kept here because the tests
+require their bits.
 """
 
 from itertools import combinations
@@ -117,6 +118,17 @@ def lmo_blocks_single(cost, layout, masks=None):
 def diagonal_blocks(matrix, layout):
     """Stream by stream, the (J_n, I_n) diagonal blocks of a (J_total, I_total) matrix."""
     return [layout.block(matrix, n) for n in range(layout.n_streams)]
+
+
+def iterate_dense(layout, vertices, weights):
+    """Sum of w_k V_k over the (stream, path) pairs ``vertices``, as a fresh dense array.
+
+    Each cell is summed in vertex order, starting from +0.0.
+    """
+    y = np.zeros((layout.j_total, layout.i_total))
+    for (n, path), w in zip(vertices, weights):
+        layout.block(y, n)[path.assignment, np.arange(path.i_count)] += w
+    return y
 
 
 def compute_q_dense(phi, lam):

@@ -1,3 +1,4 @@
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -9,10 +10,11 @@ from seqalign import pipeline
 from seqalign.core import fit_model
 from seqalign.priors import band_penalty, duration_penalty
 from seqalign.data import Hyperparameters
-from seqalign.polytope import AlignmentPath, band_indicator, blocks_to_matrix
+from seqalign.polytope import AlignmentPath, band_indicator, blocks_to_matrix, lmo_blocks
 from seqalign.solver import (
     _ActiveSet,
     _face_direction,
+    _initial_paths,
     _minimize_on_simplices,
     _sum_zero_basis,
     exact_line_search,
@@ -29,6 +31,7 @@ from oracles import (
     gradient_dense,
     gradient_per_stream,
     gram_per_vertex,
+    iterate_dense,
     path_to_matrix,
     reference_certificate,
     ridge_residual,
@@ -366,6 +369,63 @@ class TestSolve:
         assert res.converged and res.iterations <= 2000
         assert res.gap_trace[-1] <= 1e-6
         assert np.all(np.diff(res.objective_trace) <= 1e-12)
+
+
+class TestDenseIterate:
+    """solve keeps one dense Y and rebuilds each iterate into it."""
+
+    @staticmethod
+    def suite(tmp_path, **synth):
+        manifest = pipeline.run_synth(tmp_path, seed=0, **synth)
+        return assemble(pipeline.load_streams(manifest), manifest.hyperparameters)
+
+    def test_solve_holds_one_dense_iterate(self, tmp_path):
+        inst = self.suite(tmp_path, n_streams=8, sentences=10, intervals=100)
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            res = solve(inst, max_iter=6)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert res.iterations == 6
+        assert res.y_relaxed.shape == (168, 800)
+        assert peak - before < 2 * res.y_relaxed.nbytes
+
+    def test_matrix_rebuilds_a_used_buffer_bit_for_bit(self, tmp_path):
+        # The steps of solve, each iterate checked against a fresh dense sum.
+        # Some step must prune a vertex that alone set a cell, which the
+        # rebuild then has to clear.
+        inst = self.suite(tmp_path, n_streams=4, sentences=3, intervals=30)
+        layout = inst.layout
+        in_block = np.zeros((layout.j_total, layout.i_total), dtype=bool)
+        for n in range(layout.n_streams):
+            layout.block(in_block, n)[...] = True
+        paths = _initial_paths(inst)
+        vertices = {(n, p.assignment.tobytes()): (n, p) for n, p in enumerate(paths)}
+        active = _ActiveSet(inst)
+        active.index(enumerate(paths))
+        active.w[:] = 1.0
+        y = blocks_to_matrix(paths, layout)
+        obj, cleared = active.objective(active.w), 0
+        for _ in range(100):
+            grad = gradient(inst, y)
+            v_paths, _ = lmo_blocks(grad, inst.masks)
+            if active.gap(grad, v_paths) <= 1e-6:
+                break
+            vertices.update(((n, p.assignment.tobytes()), (n, p)) for n, p in enumerate(v_paths))
+            w, _ = active.corrected_weights(v_paths)
+            if not active.objective(w) < obj:
+                break
+            active.w, obj = w, active.objective(w)
+            active.prune()
+            used = y != 0
+            active.matrix(y)
+            expect = iterate_dense(layout, [vertices[key] for key in active.lookup], active.w)
+            np.testing.assert_array_equal(y.view(np.int64), expect.view(np.int64))
+            assert not y.view(np.int64)[~in_block].any()  # +0.0 off the blocks
+            cleared += int((used & (expect == 0)).any())
+        assert cleared > 0
 
 
 class TestReferenceCertificate:

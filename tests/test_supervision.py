@@ -105,6 +105,13 @@ class TestAnnotationToPath:
         b = annotation_to_path(ann, j_count=3, i_count=6)
         np.testing.assert_array_equal(a.assignment, b.assignment)
 
+    def test_infeasible_annotation_names_the_annotation(self):
+        message = r"^annotated intervals admit no monotone path$"
+        with pytest.raises(InfeasibleError, match=message):
+            annotation_to_path(Annotation(((0, 1, 2),)), j_count=2, i_count=2)
+        with pytest.raises(InfeasibleError, match=message):
+            annotation_to_path(Annotation(((0, 0, 1),)), j_count=3, i_count=2)
+
 
 class TestResolveMu:
     def _layout(self, i_sizes, j_sizes):
@@ -191,6 +198,32 @@ class TestAssemble:
         survivors = enumerate_paths(5, 3, inst.masks[0])
         assert len(survivors) == 1
         np.testing.assert_array_equal(survivors[0].assignment, expect.assignment)
+
+    def test_hard_mode_sweeps_one_dp_per_supervised_stream(self, monkeypatch, tmp_path):
+        # The oracle that expands an annotation into its path also checks
+        # that the annotation's mask admits one; no second DP checks it first.
+        from dataclasses import replace
+
+        from seqalign import pipeline, polytope
+
+        manifest = pipeline.run_synth(
+            tmp_path, n_streams=6, sentences=2, intervals=12, supervised_fraction=0.5, seed=0
+        )
+        streams = pipeline.load_streams(manifest)
+        supervised = sum(s.supervised for s in streams)
+        assert supervised == 3
+        sweeps = 0
+        dp_align = polytope.dp_align
+
+        def counted(*args):
+            nonlocal sweeps
+            sweeps += 1
+            return dp_align(*args)
+
+        monkeypatch.setattr(polytope, "dp_align", counted)
+        inst = assemble(streams, replace(manifest.hyperparameters, supervision="hard"))
+        assert sweeps == supervised
+        assert sum(m is not None for m in inst.masks) == supervised
 
     def test_kappa_scales_supervised_blocks_only(self):
         rng = np.random.default_rng(3)
