@@ -7,6 +7,7 @@ from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
+import scipy
 
 from . import data as io
 from .evaluation import jaccard_score
@@ -15,6 +16,12 @@ from .solver import solve
 from .supervision import Stream, assemble
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+def _blas(module):
+    """The "<name> <version>" of the BLAS a numpy or scipy build links."""
+    blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    return f"{blas['name']} {blas['version']}"
 
 
 def load_streams(manifest):
@@ -101,7 +108,9 @@ def run_align(manifest, out_dir, overrides=None):
     The report's timings are the seconds of each stage in order: load_s,
     assemble_s, solve_s, round_s and write_s (predictions and trace.csv).
     Its blas_threads holds the BLAS thread variables the align ran with,
-    None where unset: the outputs' last bits depend on the thread count.
+    None where unset, and blas the BLAS of numpy and of scipy, which can
+    differ: the outputs' last bits depend on both.  active_set is the
+    number of vertices that carry the final iterate.
     """
     hp = replace(manifest.hyperparameters, **(overrides or {}))
     out_dir = Path(out_dir)
@@ -130,7 +139,9 @@ def run_align(manifest, out_dir, overrides=None):
         "stop_reason": result.stop_reason,
         "final_objective": result.objective_trace[-1],
         "final_gap": result.gap_trace[-1],
+        "active_set": result.active_set_trace[-1],
         "blas_threads": {v: os.environ.get(v) for v in BLAS_THREAD_VARS},
+        "blas": {"numpy": _blas(np), "scipy": _blas(scipy)},
         "timings": timings,
     }
     (out_dir / "report.json").write_text(json.dumps(report, indent=2) + "\n")

@@ -130,19 +130,25 @@ def gradient(instance, y):
     """Stream by stream, the (J_n, I_n) diagonal blocks of the gradient at Y.
 
     The gradient is (1/I) psi^T psi Y Q + (1/sigma^2)(Y 1 - mu) 1^T + alpha Y_c;
-    the oracle, the gap and the line search read only its diagonal blocks.
-    The data term is taken as psi_n^T x_n with x = (psi Y) Q: the product
-    with Q costs E I^2 flops instead of the J I^2 of (psi^T psi Y) Q, and the
-    text dimension E is below J_total on any suite of more than a few
-    streams.  Y stays dense, so that psi Y and the row sums Y 1 are summed
-    as for the whole matrix, and each cell of a block gets the bits of the
-    dense (J_total, I_total) formula.  The blocks of a run of streams of
-    one shape are computed together (_run_products) and are views of one
-    array.
+    the oracle and the gap read only its diagonal blocks.  The data term is
+    taken as psi_n^T x_n with x = (psi Y) Q, and x from the Gram factor of
+    Q = Id - phi^T G^{-1} phi, G = phi phi^T + I lam Id:
+
+        x = psi Y - (G^{-1} phi (psi Y)^T)^T phi,
+
+    so the gradient never reads the dense (I, I) Q.  It costs
+    2 E J_total I_total + 4 E D I_total + sum_n 2 E J_n I_n flops, with
+    no I_total^2 term.  Y stays dense, so that psi Y and the row sums Y 1
+    are summed as for the whole matrix.  The blocks of a run of streams
+    of one shape are computed together (_run_products) and are views of
+    one array.
     """
     y = np.asarray(y, dtype=np.float64)
-    p, layout, psi = instance.priors, instance.layout, instance.psi
-    x = (psi @ y) @ instance.kernel.q_matrix
+    p, layout, psi, phi = instance.priors, instance.layout, instance.psi, instance.phi
+    py = psi @ y
+    c, lower = instance.kernel.gram_factor
+    s, _ = dpotrs(c, phi @ py.T, lower=lower)
+    x = py - s.T @ phi
     d = (y.sum(axis=1) - p.mu) / p.sigma**2
     blocks = []
     for first, count in layout.runs:

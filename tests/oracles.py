@@ -145,8 +145,8 @@ def compute_q_dense(phi, lam):
 def gradient_dense(instance, y):
     """The (J_total, I_total) gradient psi^T ((psi Y) Q) / I + (Y 1 - mu) 1^T / sigma^2 + alpha Y_c.
 
-    The formula solver.gradient replaced, off-block cells included; the
-    tests require the bits of its diagonal blocks.
+    The formula solver.gradient replaced, off-block cells included, with the
+    dense Q; the tests hold its diagonal blocks to within round-off.
     """
     y = np.asarray(y, dtype=np.float64)
     p = instance.priors
@@ -169,12 +169,15 @@ def _span(start, size, total):
 def gradient_per_stream(instance, y):
     """Stream by stream, the gradient's diagonal blocks with one product psi_n^T x_n each.
 
-    A block of one row (column) is taken from the product of a two-row
-    (two-column) slice, which keeps it on BLAS's matrix kernel.
+    x = (psi Y) Q is taken from the Gram factor G of Q = Id - phi^T G^{-1} phi,
+    as psi Y - (G^{-1} phi (psi Y)^T)^T phi.  A block of one row (column) is
+    taken from the product of a two-row (two-column) slice, which keeps it
+    on BLAS's matrix kernel.
     """
     y = np.asarray(y, dtype=np.float64)
-    p, layout = instance.priors, instance.layout
-    x = (instance.psi @ y) @ instance.kernel.q_matrix
+    p, layout, phi = instance.priors, instance.layout, instance.phi
+    py = instance.psi @ y
+    x = py - cho_solve(instance.kernel.gram_factor, phi @ py.T).T @ phi
     d = (y.sum(axis=1) - p.mu) / p.sigma**2
     blocks = []
     for n, y_c in enumerate(instance.band):

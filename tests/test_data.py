@@ -6,6 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -558,6 +559,25 @@ class TestCli:
         assert written["blas_threads"] == {
             "OPENBLAS_NUM_THREADS": None, "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": None,
         }
+
+    def test_report_records_each_librarys_blas(self, tmp_path):
+        manifest = pipeline.run_synth(tmp_path / "suite", n_streams=1, sentences=2,
+                                      intervals=8, seed=3)
+        pipeline.run_align(manifest, tmp_path / "run")
+        written = json.loads((tmp_path / "run" / "report.json").read_text())
+        for name, module in (("numpy", np), ("scipy", scipy)):
+            blas = module.show_config(mode="dicts")["Build Dependencies"]["blas"]
+            assert written["blas"][name] == f"{blas['name']} {blas['version']}"
+
+    def test_report_records_the_final_active_set(self, tmp_path):
+        manifest = pipeline.run_synth(tmp_path / "suite", n_streams=3, sentences=3,
+                                      intervals=12, seed=5)
+        report = pipeline.run_align(manifest, tmp_path / "run")
+        written = json.loads((tmp_path / "run" / "report.json").read_text())
+        trace = (tmp_path / "run" / "trace.csv").read_text().splitlines()
+        last = dict(zip(trace[0].split(","), trace[-1].split(",")))
+        assert written["active_set"] == report["active_set"] == int(last["active_set"])
+        assert written["active_set"] >= 3  # at least one vertex per stream
 
     @pytest.mark.parametrize(
         "content",
