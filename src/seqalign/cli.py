@@ -90,15 +90,17 @@ def _parse_values(param, text):
     return points
 
 
-# glibc serves an allocation above its mmap threshold from a mapping of its
-# own, and on the first free of one raises the threshold to that size (up to
-# 32 MiB).  The iterate Y, the one (J, I) array of the solve (the gradient
-# and the band are per-stream blocks), 20 MiB on kernel-16x250, then comes
-# from the heap, whose freed memory stays resident and may be filled to
-# whole huge pages by the kernel, so that one align's peak RSS differed by
-# 18 MiB from run to run.  Fixed thresholds (trim at twice the mmap
-# threshold, as glibc's own raise sets it) return every array of 4 MiB or
-# more to the system when it is freed.
+# Fixed malloc thresholds for the solve's many short-lived arrays.  With
+# these, an array under 4 MiB comes from the heap, which is trimmed only
+# when 8 MiB lie free at its top, so the next array of its size reuses
+# pages already faulted in; an array of 4 MiB or more (Q, the iterate Y)
+# is mapped on its own and unmapped when freed.  glibc's defaults start
+# both thresholds at 128 KiB and raise them as arrays are freed; setting
+# either one alone fixes the other at 128 KiB.  On a 128 x 3 x 40 align
+# (synth seed 0, one BLAS thread, three alternating pairs), the defaults
+# took 294k minor page faults and 3.3-4.1 s, these thresholds 53k and
+# 3.0-3.6 s, at the same 309-310 MiB peak RSS; either setting alone took
+# 410k-532k faults.
 _M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3
 _MMAP_THRESHOLD = 4 << 20
 

@@ -185,8 +185,13 @@ class SynthConfig:
             raise ValueError("supervised_fraction must lie in [0, 1]")
         if min(self.sentences, self.intervals, self.text_dim, self.video_dim) < 1:
             raise ValueError("all sizes must be positive")
-        if self.sentences > self.intervals:
-            raise ValueError("sentences must not exceed intervals")
+        # Background interleaving gives each stream 2 sentences + 1 rows, each
+        # of which needs an interval.
+        if self.intervals < 2 * self.sentences + 1:
+            raise ValueError(
+                f"intervals must be at least 2 * sentences + 1 = {2 * self.sentences + 1}, "
+                f"got intervals={self.intervals} for sentences={self.sentences}"
+            )
         if self.noise < 0 or self.concentration <= 0:
             raise ValueError("noise must be >= 0 and concentration > 0")
 
@@ -335,8 +340,8 @@ def read_manifest(path):
     """Load a manifest; a file of the wrong shape raises ValueError.
 
     The file must hold a JSON object whose "streams" is a list of objects,
-    each naming "id", "phi_path" and "psi_path" as strings, and whose
-    "hyperparameters", if present, is an object.
+    each naming "id", "phi_path" and "psi_path" as strings, no two the same
+    "id", and whose "hyperparameters", if present, is an object.
     """
     path = Path(path)
     try:
@@ -348,6 +353,7 @@ def read_manifest(path):
     streams = raw.get("streams")
     if not isinstance(streams, list):
         raise ValueError(f"{path}: 'streams' must be a list")
+    first = {}  # id -> index of the stream that first names it
     for k, rec in enumerate(streams):
         if not isinstance(rec, dict):
             raise ValueError(f"{path}: streams[{k}] must be an object")
@@ -356,6 +362,10 @@ def read_manifest(path):
                 raise ValueError(f"{path}: streams[{k}] needs a string {key!r}")
         if not isinstance(rec.get("annotation_path", ""), (str, type(None))):
             raise ValueError(f"{path}: streams[{k}]: 'annotation_path' must be a string")
+        # Predictions are written and read by id, so an id names one stream.
+        j = first.setdefault(rec["id"], k)
+        if j != k:
+            raise ValueError(f"{path}: streams[{k}] repeats the id {rec['id']!r} of streams[{j}]")
     hp = raw.get("hyperparameters", {})
     if not isinstance(hp, dict):
         raise ValueError(f"{path}: 'hyperparameters' must be an object")

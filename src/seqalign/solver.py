@@ -82,32 +82,6 @@ def objective(instance, y):
     )
 
 
-def _span_product(psi, x, layout, n):
-    """psi_n^T x_n of a stream with one row or one column, on BLAS's matrix kernel.
-
-    numpy computes a product with one row or column on BLAS's vector
-    kernels, which round otherwise than the matrix kernel of the whole
-    product psi^T x; a neighbouring row or column of psi or x keeps the
-    block's product on the matrix kernel.
-    """
-    J, I = layout.j_sizes[n], layout.i_sizes[n]
-    j0, i0 = layout.j_offsets[n], layout.i_offsets[n]
-    rows, r = _matrix_span(j0, J, layout.j_total)
-    cols, c = _matrix_span(i0, I, layout.i_total)
-    return (psi[:, rows].T @ x[:, cols])[r : r + J, c : c + I]
-
-
-def _matrix_span(start, size, total):
-    """The slice start:start+size, or two indices around start where size is 1 < total.
-
-    Returns the slice and the place of start in it.
-    """
-    if size == 1 < total:
-        lo = min(start, total - 2)
-        return slice(lo, lo + 2), start - lo
-    return slice(start, start + size), 0
-
-
 def _run_products(psi, x, layout, first, count):
     """psi_n^T x_n of the ``count`` streams of one shape from ``first`` on, a (count, J, I) array.
 
@@ -116,7 +90,8 @@ def _run_products(psi, x, layout, first, count):
     gets each stream's operands with the strides that psi[:, rows].T and
     x[:, cols] have, and each block the bits of that product.  A gathered
     copy such as x[:, idx] is laid out otherwise (Fortran order), and a
-    product on it can differ in the last bits.
+    product on it can differ in the last bits.  Every shape takes this one
+    path, one-row (J = 1) and one-column (I = 1) streams included.
     """
     J, I = layout.j_sizes[first], layout.i_sizes[first]
     j0, i0 = layout.j_offsets[first], layout.i_offsets[first]
@@ -139,9 +114,10 @@ def gradient(instance, y):
     so the gradient never reads the dense (I, I) Q.  It costs
     2 E J_total I_total + 4 E D I_total + sum_n 2 E J_n I_n flops, with
     no I_total^2 term.  Y stays dense, so that psi Y and the row sums Y 1
-    are summed as for the whole matrix.  The blocks of a run of streams
-    of one shape are computed together (_run_products) and are views of
-    one array.
+    are summed as for the whole matrix.  Every block, one-row blocks
+    included, comes from the one stacked product of its run of streams of
+    one shape (_run_products), and the blocks of a run are views of one
+    array.
     """
     y = np.asarray(y, dtype=np.float64)
     p, layout, psi, phi = instance.priors, instance.layout, instance.psi, instance.phi
@@ -152,12 +128,8 @@ def gradient(instance, y):
     d = (y.sum(axis=1) - p.mu) / p.sigma**2
     blocks = []
     for first, count in layout.runs:
-        J, I = layout.j_sizes[first], layout.i_sizes[first]
-        j0 = layout.j_offsets[first]
-        if J == 1 or I == 1:
-            g = np.stack([_span_product(psi, x, layout, n) for n in range(first, first + count)])
-        else:
-            g = _run_products(psi, x, layout, first, count)
+        J, j0 = layout.j_sizes[first], layout.j_offsets[first]
+        g = _run_products(psi, x, layout, first, count)
         g /= layout.i_total
         g += d[j0 : j0 + count * J].reshape(count, J, 1)
         # band_indicator depends on the shape alone, so a run shares one.

@@ -1,5 +1,21 @@
+import os
+
+import numpy as np
+import scipy
+
 from seqalign.data import Hyperparameters
+from seqalign.pipeline import BLAS_THREAD_VARS, _blas
 from seqalign.supervision import Stream, assemble
+
+
+def pytest_terminal_summary(terminalreporter):
+    """Name the BLAS builds and thread variables: the bit-for-bit checks hold for these only.
+
+    A summary section, unlike the report header, is printed under -q too.
+    """
+    threads = ", ".join(f"{v}={os.environ.get(v)}" for v in BLAS_THREAD_VARS)
+    terminalreporter.section("blas")
+    terminalreporter.write_line(f"numpy {_blas(np)}, scipy {_blas(scipy)}; {threads}")
 
 
 def random_small_shapes(rng, max_i=8, max_j=4):

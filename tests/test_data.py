@@ -593,6 +593,34 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("ValueError: ")
 
+    @pytest.mark.parametrize("command", ["align", "eval"])
+    def test_repeated_stream_id_exits_1(self, tmp_path, capsys, command):
+        # Predictions are files named by id: the second stream would overwrite
+        # the first's, and eval would score both against it.
+        suite = tmp_path / "suite"
+        pipeline.run_synth(suite, n_streams=3, sentences=2, intervals=8, seed=1)
+        path = suite / "manifest.json"
+        raw = json.loads(path.read_text())
+        raw["streams"][2]["id"] = "stream_00"
+        path.write_text(json.dumps(raw))
+        code = cli.main([command, "--manifest", str(path), "--out-dir", str(tmp_path / "out")])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ValueError: "), err
+        assert "'stream_00'" in err[0] and "streams[0]" in err[0] and "streams[2]" in err[0]
+        assert not (tmp_path / "out").exists()
+
+    def test_synth_too_few_intervals_for_the_background_rows_exits_1(self, tmp_path, capsys):
+        # 5 sentences interleave to 11 rows, so 10 intervals admit no path.
+        suite = tmp_path / "suite"
+        argv = ["synth", "--out-dir", str(suite), "--sentences", "5", "--intervals", "10"]
+        assert cli.main(argv) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ValueError: "), err
+        assert "intervals=10" in err[0] and "sentences=5" in err[0]
+        assert not (suite / "manifest.json").exists()
+        assert cli.main(argv[:-1] + ["11"]) == 0
+
     @pytest.mark.parametrize(
         "command, edit, error",
         [
