@@ -10,6 +10,8 @@ and plugging W* back in reduces the objective to the quadratic
     q(Y) = (1 / 2I) Tr(psi Y Q Y^T psi^T)
 
 with the data kernel Q = Id_I - phi^T (phi phi^T + I*lam*Id_D)^{-1} phi.
+solver.gradient states q's gradient from the Cholesky factor of that Gram
+matrix, and solver.objective states q from the gradient.
 """
 
 from dataclasses import dataclass
@@ -90,13 +92,3 @@ def fit_model(psi, y, phi, kernel):
     rhs = phi @ (psi @ y).T  # (D, E)
     return cho_solve(kernel.gram_factor, rhs).T
 
-
-def discriminative_cost(psi, y, kernel):
-    """Reduced cost q(Y) = (1 / 2I) Tr(psi Y Q Y^T psi^T); non-negative."""
-    psi = np.asarray(psi, dtype=np.float64)
-    y = np.asarray(y, dtype=np.float64)
-    i_total = kernel.q_matrix.shape[0]
-    if psi.shape[1] != y.shape[0] or y.shape[1] != i_total:
-        raise ValueError("shape mismatch between psi, y and kernel")
-    py = psi @ y
-    return float(np.sum((py @ kernel.q_matrix) * py) / (2.0 * i_total))

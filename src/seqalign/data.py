@@ -39,23 +39,28 @@ def read_matrix(path):
         rows, cols = (int(tok) for tok in lines[0].split(","))
     except ValueError:
         raise ValueError(f"{path}:1: malformed header {lines[0]!r}") from None
-    body = [ln for ln in lines[1:] if ln.strip()]
+    # The data lines with their line numbers; blank lines are skipped.
+    body = [(k, ln) for k, ln in enumerate(lines[1:], start=2) if ln.strip()]
     if len(body) != rows:
         raise ValueError(f"{path}: expected {rows} data lines, found {len(body)}")
     if cols < 0:
         raise ValueError(f"{path}:1: negative column count {cols}")
     values = []
-    for r, ln in enumerate(body):
+    for k, ln in body:
         toks = ln.split(",")
         if len(toks) != cols:
-            raise ValueError(f"{path}:{r + 2}: expected {cols} values, found {len(toks)}")
+            raise ValueError(f"{path}:{k}: expected {cols} values, found {len(toks)}")
         try:
             values.append([float(t) for t in toks])
         except ValueError:
-            raise ValueError(f"{path}:{r + 2}: non-numeric token") from None
+            raise ValueError(f"{path}:{k}: non-numeric token") from None
     # Allocated only now: the header's column count is not trusted until
     # the lines bear it out.
-    return np.array(values, dtype=np.float64).reshape(rows, cols)
+    m = np.array(values, dtype=np.float64).reshape(rows, cols)
+    finite = np.isfinite(m).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"{path}:{body[int(np.argmin(finite))][0]}: non-finite value")
+    return m
 
 
 def write_annotations(path, ann):
@@ -341,7 +346,9 @@ def read_manifest(path):
 
     The file must hold a JSON object whose "streams" is a list of objects,
     each naming "id", "phi_path" and "psi_path" as strings, no two the same
-    "id", and whose "hyperparameters", if present, is an object.
+    "id", and whose "hyperparameters", if present, is an object.  An id is
+    a plain file name: not empty, with no "/" or NUL.  "supervised", if
+    present, is true or false.
     """
     path = Path(path)
     try:
@@ -362,7 +369,17 @@ def read_manifest(path):
                 raise ValueError(f"{path}: streams[{k}] needs a string {key!r}")
         if not isinstance(rec.get("annotation_path", ""), (str, type(None))):
             raise ValueError(f"{path}: streams[{k}]: 'annotation_path' must be a string")
-        # Predictions are written and read by id, so an id names one stream.
+        if not isinstance(rec.get("supervised", False), bool):
+            raise ValueError(
+                f"{path}: streams[{k}]: 'supervised' must be true or false, "
+                f"got {rec['supervised']!r}"
+            )
+        # Predictions are written and read by id, as pred_<id>.csv in the
+        # output directory: an id names one stream, and one file there.
+        if not rec["id"] or "/" in rec["id"] or "\0" in rec["id"]:
+            raise ValueError(
+                f"{path}: streams[{k}]: 'id' must be a plain file name, got {rec['id']!r}"
+            )
         j = first.setdefault(rec["id"], k)
         if j != k:
             raise ValueError(f"{path}: streams[{k}] repeats the id {rec['id']!r} of streams[{j}]")

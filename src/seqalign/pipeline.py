@@ -32,6 +32,9 @@ def load_streams(manifest):
         try:
             phi = io.read_matrix(manifest.resolve(rec["phi_path"]))
             psi_raw = io.read_matrix(manifest.resolve(rec["psi_path"]))
+            for name, m in (("phi", phi), ("psi", psi_raw)):
+                if m.shape[0] == 0:
+                    raise ValueError(f"{name} has no rows")
             psi, background = io.interleave_background(psi_raw)
             if psi.shape[1] > phi.shape[1]:
                 raise ValueError(
@@ -51,7 +54,7 @@ def load_streams(manifest):
                     psi=psi,
                     background=background,
                     annotation=ann,
-                    supervised=bool(rec.get("supervised", False)),
+                    supervised=rec.get("supervised", False),
                 )
             )
         except ValueError as e:

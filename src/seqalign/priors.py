@@ -1,4 +1,8 @@
-"""Duration and band priors added to the discriminative cost."""
+"""Hyperparameters of the duration and band priors.
+
+The priors add (1 / 2 sigma^2) ||Y 1 - mu||^2 and alpha Tr(Y_c^T Y) to the
+discriminative cost; solver.gradient states both terms.
+"""
 
 from dataclasses import dataclass
 
@@ -38,24 +42,3 @@ class PriorConfig:
             raise ValueError("mu entries must be positive")
         object.__setattr__(self, "mu", mu)
 
-
-def duration_penalty(y, config):
-    """(1 / 2 sigma^2) || Y 1_I - mu ||_2^2."""
-    y = np.asarray(y, dtype=np.float64)
-    if config.mu.shape != (y.shape[0],):
-        raise ValueError(f"mu vector has length {config.mu.size}, expected {y.shape[0]}")
-    d = y.sum(axis=1) - config.mu
-    return float(np.dot(d, d) / (2.0 * config.sigma**2))
-
-
-def band_penalty(y, y_c, alpha):
-    """alpha * Tr(Y_c^T Y): penalized mass outside the diagonal band.
-
-    y_c is the 0/1 indicator of the cells outside the band (see
-    polytope.band_indicator), of y's shape: one stream's block of Y and its
-    band, whose terms solver.objective adds up stream by stream.
-    """
-    y = np.asarray(y, dtype=np.float64)
-    if np.shape(y_c) != y.shape:
-        raise ValueError("band indicator shape does not match y")
-    return float(alpha * np.sum(y_c * y))

@@ -19,7 +19,7 @@ from itertools import compress
 import numpy as np
 from scipy.linalg.lapack import dpotrf, dpotrs
 
-from .core import CostKernel, discriminative_cost, fit_model
+from .core import CostKernel, fit_model
 from .evaluation import diagonal_path
 from .polytope import (
     StreamLayout,
@@ -28,7 +28,7 @@ from .polytope import (
     lmo_blocks,
     minimize_linear,
 )
-from .priors import PriorConfig, band_penalty, duration_penalty
+from .priors import PriorConfig
 
 
 @dataclass(frozen=True)
@@ -71,15 +71,21 @@ def block_band(layout, beta):
     return tuple(band_indicator(j, i, beta) for j, i in zip(layout.j_sizes, layout.i_sizes))
 
 
+def _block_dot(blocks, y, layout):
+    """sum_n <blocks_n, Y_n> over the diagonal blocks Y_n of a dense Y."""
+    return float(sum(np.sum(b * layout.block(y, n)) for n, b in enumerate(blocks)))
+
+
 def objective(instance, y):
-    """q(Y) + r(Y) + l(Y) of a dense (J_total, I_total) Y."""
-    layout, alpha = instance.layout, instance.priors.alpha
-    band = sum(band_penalty(layout.block(y, n), y_c, alpha) for n, y_c in enumerate(instance.band))
-    return (
-        discriminative_cost(instance.psi, y, instance.kernel)
-        + duration_penalty(y, instance.priors)
-        + band
-    )
+    """q(Y) + r(Y) + l(Y) of a dense (J_total, I_total) Y, zero off the diagonal blocks.
+
+    With g = gradient(Y) and its linear part c = gradient(0), the quadratic
+    is 0.5 sum_n <g_n + c_n, Y_n> + ||mu||^2 / (2 sigma^2): Q is never read.
+    """
+    y, p = np.asarray(y, dtype=np.float64), instance.priors
+    g, c = gradient(instance, y), gradient(instance, np.zeros_like(y))
+    total = _block_dot([g_n + c_n for g_n, c_n in zip(g, c)], y, instance.layout)
+    return 0.5 * total + float(p.mu @ p.mu) / (2.0 * p.sigma**2)
 
 
 def _run_products(psi, x, layout, first, count):
@@ -146,21 +152,19 @@ def _clamped_step(slope, curvature):
 
 
 def exact_line_search(instance, y, direction, grad=None):
-    """Optimal step in [0, 1] along a vertex direction of the quadratic.
+    """Optimal step in [0, 1] along a direction D of the quadratic.
 
-    y and direction are dense; grad, if given, is gradient's blocks at y.
-    gamma* = clamp(-<grad, D> / c, 0, 1) with curvature
-    c = (1/I) Tr(psi D Q D^T psi^T) + (1/sigma^2) ||D 1||^2.
+    y and direction are dense and zero off the diagonal blocks; grad, if
+    given, is gradient's blocks at y.  gamma* = clamp(-<grad, D> / c, 0, 1)
+    with the curvature c = sum_n <gradient(D)_n - gradient(0)_n, D_n>, which
+    is (1/I) Tr(psi D Q D^T psi^T) + (1/sigma^2) ||D 1||^2 without Q.
     """
     if grad is None:
         grad = gradient(instance, y)
     d = np.asarray(direction, dtype=np.float64)
-    slope = float(sum(np.sum(g * instance.layout.block(d, n)) for n, g in enumerate(grad)))
-    pd = instance.psi @ d
-    c = float(np.sum((pd @ instance.kernel.q_matrix) * pd)) / instance.layout.i_total
-    r = d.sum(axis=1)
-    c += float(np.dot(r, r)) / instance.priors.sigma**2
-    return _clamped_step(slope, c)
+    g_d, c = gradient(instance, d), gradient(instance, np.zeros_like(d))
+    curvature = _block_dot([a - b for a, b in zip(g_d, c)], d, instance.layout)
+    return _clamped_step(_block_dot(grad, d, instance.layout), curvature)
 
 
 def _path_sum(block, path):

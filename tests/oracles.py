@@ -3,9 +3,10 @@
 Exhaustive path enumeration, the per-stream DP and linear oracle, the
 Helmert basis of the weight-space correction, the vertex matrix of a path
 and the dense iterate of weighted paths, the dense kernel Q and the dense
-gradient, the joint ridge objective, the three rounding criteria and a
-duality-gap certificate of a solve.  Each is written independently of the
-fast path it arbitrates; none is used by the package itself.  The
+gradient, the reduced cost, the two priors and the objective they sum to
+with the dense Q, the joint ridge objective, the three rounding criteria
+and a duality-gap certificate of a solve.  Each is written independently
+of the fast path it arbitrates; none is used by the package itself.  The
 stream-by-stream gradient and Gram rows and the scipy face step are the
 forms the package's batched ones replaced, kept here because the tests
 require their bits.
@@ -18,7 +19,6 @@ import numpy as np
 from scipy.linalg import block_diag, cho_factor, cho_solve
 
 from seqalign.polytope import AlignmentPath, InfeasibleError, blocks_to_matrix, lmo_blocks
-from seqalign.priors import band_penalty, duration_penalty
 
 # Hard caps for exhaustive enumeration.
 ENUM_MAX_I = 14
@@ -156,6 +156,53 @@ def gradient_dense(instance, y):
     g += d[:, None]
     g += p.alpha * block_diag(*instance.band)
     return g
+
+
+def discriminative_cost(psi, y, kernel):
+    """Reduced cost q(Y) = (1 / 2I) Tr(psi Y Q Y^T psi^T); non-negative."""
+    psi = np.asarray(psi, dtype=np.float64)
+    y = np.asarray(y, dtype=np.float64)
+    i_total = kernel.q_matrix.shape[0]
+    if psi.shape[1] != y.shape[0] or y.shape[1] != i_total:
+        raise ValueError("shape mismatch between psi, y and kernel")
+    py = psi @ y
+    return float(np.sum((py @ kernel.q_matrix) * py) / (2.0 * i_total))
+
+
+def duration_penalty(y, config):
+    """(1 / 2 sigma^2) || Y 1_I - mu ||_2^2."""
+    y = np.asarray(y, dtype=np.float64)
+    if config.mu.shape != (y.shape[0],):
+        raise ValueError(f"mu vector has length {config.mu.size}, expected {y.shape[0]}")
+    d = y.sum(axis=1) - config.mu
+    return float(np.dot(d, d) / (2.0 * config.sigma**2))
+
+
+def band_penalty(y, y_c, alpha):
+    """alpha * Tr(Y_c^T Y): penalized mass outside the diagonal band.
+
+    y_c is the 0/1 indicator of the cells outside the band (see
+    polytope.band_indicator), of y's shape: one stream's block of Y and its
+    band, whose terms objective_dense adds up stream by stream.
+    """
+    y = np.asarray(y, dtype=np.float64)
+    if np.shape(y_c) != y.shape:
+        raise ValueError("band indicator shape does not match y")
+    return float(alpha * np.sum(y_c * y))
+
+
+def objective_dense(instance, y):
+    """q(Y) + r(Y) + l(Y) of a dense (J_total, I_total) Y, with the dense Q.
+
+    The formula solver.objective replaced; any Y, off-block cells included.
+    """
+    layout, alpha = instance.layout, instance.priors.alpha
+    band = sum(band_penalty(layout.block(y, n), y_c, alpha) for n, y_c in enumerate(instance.band))
+    return (
+        discriminative_cost(instance.psi, y, instance.kernel)
+        + duration_penalty(y, instance.priors)
+        + band
+    )
 
 
 def _span(start, size, total):

@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 
 from seqalign import cli, pipeline
-from seqalign.core import compute_q, discriminative_cost, fit_model
+from seqalign.core import compute_q, fit_model
 from seqalign.data import (
     Hyperparameters,
     SynthConfig,
@@ -24,15 +24,17 @@ from seqalign.data import (
 from seqalign.evaluation import diagonal_path, jaccard_score
 from seqalign.polytope import CellMask, minimize_linear
 from seqalign.rounding import round_feature, round_model, round_nearest
-from seqalign.solver import gradient, objective, solve
+from seqalign.solver import gradient, solve
 from seqalign.supervision import Stream, assemble
 
 from conftest import make_instance
 from oracles import (
+    discriminative_cost,
     enumerate_paths,
     feature_criterion,
     model_criterion,
     nearest_criterion,
+    objective_dense,
     path_to_matrix,
     ridge_residual,
 )
@@ -155,7 +157,7 @@ def test_criterion_04_gradient_matches_finite_differences():
             up, down = y.copy(), y.copy()
             up[idx] += h
             down[idx] -= h
-            fd[idx] = (objective(inst, up) - objective(inst, down)) / (2 * h)
+            fd[idx] = (objective_dense(inst, up) - objective_dense(inst, down)) / (2 * h)
         scale = max(np.max(np.abs(fd)), 1e-8)
         ok &= np.max(np.abs(g - fd)) / scale <= 1e-5
     _verdict(4, ok, "analytic gradient within 1e-5 of central differences, 50 instances")
@@ -188,11 +190,11 @@ def test_criterion_06_relaxation_brackets_integer_optimum():
         relaxed = res.objective_trace[-1]
         gap = res.gap_trace[-1]
         integer_opt = min(
-            objective(inst, path_to_matrix(p))
+            objective_dense(inst, path_to_matrix(p))
             for p in enumerate_paths(inst.layout.i_total, j)
         )
         rounded = round_nearest(res.y_relaxed)
-        slack = objective(inst, path_to_matrix(rounded)) - relaxed
+        slack = objective_dense(inst, path_to_matrix(rounded)) - relaxed
         ok &= relaxed <= integer_opt + 1e-8
         ok &= integer_opt <= relaxed + gap + slack + 1e-8
     _verdict(6, ok, "relaxed optimum brackets the enumerated integer optimum, 50 instances")

@@ -5,11 +5,10 @@ from seqalign import core
 from seqalign.core import (
     augment_affine,
     compute_q,
-    discriminative_cost,
     fit_model,
 )
 
-from oracles import compute_q_dense, ridge_residual
+from oracles import compute_q_dense, discriminative_cost, ridge_residual
 
 
 def ridge_gradient_descent(psi, y, phi, lam, steps=200000, lr=None):

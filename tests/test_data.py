@@ -56,6 +56,14 @@ class TestMatrixIO:
         with pytest.raises(ValueError, match=":3"):
             read_matrix(f)
 
+    @pytest.mark.parametrize("token, error", [("x", "non-numeric token"),
+                                              ("nan", "non-finite value")])
+    def test_line_number_counts_blank_lines(self, tmp_path, token, error):
+        f = tmp_path / "m.csv"
+        f.write_text(f"2,2\n\n1.0,2.0\n3.0,{token}\n")
+        with pytest.raises(ValueError, match=f":4: {error}"):
+            read_matrix(f)
+
     def test_non_numeric_token_rejected(self, tmp_path):
         f = tmp_path / "m.csv"
         f.write_text("1,2\n1.0,abc\n")
@@ -515,6 +523,24 @@ class TestCli:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("ValueError: ")
 
+    @pytest.mark.parametrize(
+        "lines, error",
+        [([f"{i},0" for i in range(7)], "stream stream_00: prediction has wrong length"),
+         (["0,0", "1,2"], "pred_stream_00.csv:3: row 2 out of range")],
+        ids=["wrong-length", "row-out-of-range"],
+    )
+    def test_eval_of_a_malformed_prediction_exits_1(self, tmp_path, capsys, lines, error):
+        # The stream has 8 intervals; a prediction's row is at most its column.
+        pipeline.run_synth(tmp_path, n_streams=1, sentences=2, intervals=8, seed=1)
+        (tmp_path / "pred_stream_00.csv").write_text("\n".join(["i,j", *lines]) + "\n")
+        code = cli.main(
+            ["eval", "--manifest", str(tmp_path / "manifest.json"), "--out-dir", str(tmp_path)]
+        )
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("ValueError: ") and err[0].endswith(error), err
+        assert not (tmp_path / "scores.csv").exists()
+
     def test_eval_of_a_path_that_stops_short_of_the_last_row_exits_1(self, tmp_path, capsys):
         suite = tmp_path / "suite"
         assert cli.main(["synth", "--out-dir", str(suite), "--streams", "1", "--sentences", "3",
@@ -582,8 +608,10 @@ class TestCli:
     @pytest.mark.parametrize(
         "content",
         ["[]", '{"streams": 3}', '{"streams": [{"id": "a", "phi_path": 1, "psi_path": "b"}]}',
+         '{"streams": [{"id": "a", "phi_path": "a", "psi_path": "b", "annotation_path": 3}]}',
          '{"streams": [], "hyperparameters": [1]}', "[" * 100_000],
-        ids=["array", "int-streams", "int-path", "list-hyperparameters", "deep-nesting"],
+        ids=["array", "int-streams", "int-path", "int-annotation-path", "list-hyperparameters",
+             "deep-nesting"],
     )
     def test_malformed_manifest_exits_1(self, tmp_path, capsys, content):
         manifest = tmp_path / "manifest.json"
@@ -609,6 +637,73 @@ class TestCli:
         assert len(err) == 1 and err[0].startswith("ValueError: "), err
         assert "'stream_00'" in err[0] and "streams[0]" in err[0] and "streams[2]" in err[0]
         assert not (tmp_path / "out").exists()
+
+    @staticmethod
+    def run_edited(tmp_path, capsys, command, edit):
+        """Exit code, stderr lines and predictions written of a command on an edited suite.
+
+        edit(raw, suite) changes the manifest ``raw`` or the files of the
+        2-stream suite in ``suite``; the command writes to tmp_path / "out".
+        """
+        suite = tmp_path / "suite"
+        pipeline.run_synth(suite, n_streams=2, sentences=2, intervals=8, seed=1)
+        path = suite / "manifest.json"
+        raw = json.loads(path.read_text())
+        edit(raw, suite)
+        path.write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        code = cli.main([command, "--manifest", str(path), "--out-dir", str(out)])
+        return code, capsys.readouterr().err.splitlines(), list(out.glob("pred_*.csv"))
+
+    @pytest.mark.parametrize("sid", ["../escaped", "a/b", "", "a\0b"],
+                             ids=["parent-dir", "slash", "empty", "nul"])
+    @pytest.mark.parametrize("command", ["align", "eval"])
+    def test_stream_id_that_is_not_a_plain_file_name_exits_1(self, tmp_path, capsys, command,
+                                                             sid):
+        # pred_<id>.csv must be one file in the output directory.
+        code, err, preds = self.run_edited(
+            tmp_path, capsys, command, lambda raw, suite: raw["streams"][1].update(id=sid))
+        assert code == 1 and len(err) == 1, err
+        assert err[0].startswith("ValueError: ") and "streams[1]: 'id'" in err[0], err
+        assert preds == []
+
+    @pytest.mark.parametrize("value", ["false", "true", 0, 1, None])
+    def test_supervised_that_is_not_a_boolean_exits_1(self, tmp_path, capsys, value):
+        code, err, preds = self.run_edited(
+            tmp_path, capsys, "align",
+            lambda raw, suite: raw["streams"][1].update(supervised=value))
+        assert code == 1 and len(err) == 1, err
+        assert err[0].startswith("ValueError: ") and "streams[1]: 'supervised'" in err[0], err
+        assert preds == []
+
+    @pytest.mark.parametrize("name, row, token",
+                             [("psi", 1, "inf"), ("psi", 0, "nan"), ("phi", 2, "nan"),
+                              ("phi", 0, "-inf")])
+    def test_non_finite_feature_exits_1_naming_stream_file_and_line(self, tmp_path, capsys,
+                                                                    name, row, token):
+        def edit(raw, suite):
+            f = suite / f"stream_01.{name}.csv"
+            lines = f.read_text().splitlines()
+            lines[row + 1] = lines[row + 1].rsplit(",", 1)[0] + f",{token}"
+            f.write_text("\n".join(lines) + "\n")
+
+        code, err, preds = self.run_edited(tmp_path, capsys, "align", edit)
+        assert code == 1 and len(err) == 1, err
+        assert err[0].startswith("ValueError: stream stream_01: "), err
+        assert err[0].endswith(f"stream_01.{name}.csv:{row + 2}: non-finite value"), err
+        assert preds == []
+
+    @pytest.mark.parametrize("name", ["phi", "psi"])
+    def test_feature_file_without_rows_exits_1(self, tmp_path, capsys, name):
+        def edit(raw, suite):
+            f = suite / f"stream_01.{name}.csv"
+            columns = f.read_text().split("\n", 1)[0].split(",")[1]
+            f.write_text(f"0,{columns}\n")
+
+        code, err, preds = self.run_edited(tmp_path, capsys, "align", edit)
+        assert code == 1
+        assert err == [f"ValueError: stream stream_01: {name} has no rows"]
+        assert preds == []
 
     def test_synth_too_few_intervals_for_the_background_rows_exits_1(self, tmp_path, capsys):
         # 5 sentences interleave to 11 rows, so 10 intervals admit no path.

@@ -243,6 +243,12 @@ class TestLmoBlocks:
         paths, _ = lmo_blocks(diagonal_blocks(cost, layout), [fix_assignment_mask(pinned), None])
         np.testing.assert_array_equal(paths[0].assignment, pinned.assignment)
 
+    def test_mask_of_another_shape_rejected(self):
+        blocks = [np.zeros((2, 4)), np.zeros((2, 4))]
+        masks = [None, CellMask(np.zeros((2, 3), dtype=bool))]
+        with pytest.raises(ValueError, match="mask shape does not match cost shape"):
+            lmo_blocks(blocks, masks)
+
     def test_blocks_to_matrix_support(self):
         layout = StreamLayout(i_sizes=[3, 4], j_sizes=[2, 2])
         paths = [

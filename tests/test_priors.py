@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from seqalign.polytope import AlignmentPath, band_indicator
-from seqalign.priors import PriorConfig, band_penalty, duration_penalty
+from seqalign.priors import PriorConfig
 
-from oracles import path_to_matrix
+from oracles import band_penalty, duration_penalty, path_to_matrix
 
 
 class TestDurationPenalty:

@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.linalg import block_diag
 
 from seqalign import pipeline
 from seqalign.core import CostKernel, fit_model
-from seqalign.priors import band_penalty, duration_penalty
 from seqalign.data import Hyperparameters
 from seqalign.polytope import AlignmentPath, band_indicator, blocks_to_matrix, lmo_blocks
 from seqalign.solver import (
@@ -26,12 +26,16 @@ from seqalign.supervision import Annotation, Stream, assemble
 
 from conftest import make_instance, make_stream
 from oracles import (
+    band_penalty,
+    discriminative_cost,
+    duration_penalty,
     enumerate_paths,
     face_direction_scipy,
     gradient_dense,
     gradient_per_stream,
     gram_per_vertex,
     iterate_dense,
+    objective_dense,
     path_to_matrix,
     reference_certificate,
     ridge_residual,
@@ -62,8 +66,6 @@ class TestObjective:
         rng = np.random.default_rng(0)
         inst = make_instance(rng, i_count=6, n_sentences=2)
         y = random_hull_point(rng, inst)
-        from seqalign.core import discriminative_cost
-
         total = objective(inst, y)
         parts = (
             discriminative_cost(inst.psi, y, inst.kernel)
@@ -102,7 +104,7 @@ class TestGradient:
             )
             y = rng.random((inst.layout.j_total, inst.layout.i_total))
             (g,) = gradient(inst, y)  # one stream: its block is the whole gradient
-            fd = finite_difference(lambda m: objective(inst, m), y)
+            fd = finite_difference(lambda m: objective_dense(inst, m), y)
             scale = max(np.max(np.abs(fd)), 1e-8)
             assert np.max(np.abs(g - fd)) / scale <= 1e-5
 
@@ -245,9 +247,9 @@ class TestLineSearch:
             v = path_to_matrix(enumerate_paths(6, 3)[int(rng.integers(0, 10))])
             d = v - y
             # Analytic minimizer of the 1-d restriction g(t) = f(y + t d).
-            f0 = objective(inst, y)
-            f1 = objective(inst, y + d)
-            fh = objective(inst, y + 0.5 * d)
+            f0 = objective_dense(inst, y)
+            f1 = objective_dense(inst, y + d)
+            fh = objective_dense(inst, y + 0.5 * d)
             a = 4 * (f1 - 2 * fh + f0)  # curvature
             b = f1 - f0 - a / 2  # slope at 0
             expect = 1.0 if a <= 1e-14 else float(np.clip(-b / a, 0.0, 1.0))
@@ -262,9 +264,9 @@ class TestLineSearch:
         v = path_to_matrix(enumerate_paths(7, 3)[0])
         d = v - y
         gamma = exact_line_search(inst, y, d)
-        best = objective(inst, y + gamma * d)
+        best = objective_dense(inst, y + gamma * d)
         for t in np.linspace(0, 1, 100):
-            assert best <= objective(inst, y + t * d) + 1e-12
+            assert best <= objective_dense(inst, y + t * d) + 1e-12
 
 
 class TestSolve:
@@ -283,7 +285,7 @@ class TestSolve:
             inst = make_instance(rng, i_count=6, n_sentences=1)
             res = solve(inst, max_iter=3000, gap_tol=1e-9)
             integer_opt = min(
-                objective(inst, path_to_matrix(p)) for p in enumerate_paths(6, 3)
+                objective_dense(inst, path_to_matrix(p)) for p in enumerate_paths(6, 3)
             )
             assert res.objective_trace[-1] <= integer_opt + 1e-8
 
@@ -295,7 +297,7 @@ class TestSolve:
         assert np.all(diffs <= 1e-12)
         assert np.all(np.asarray(res.gap_trace) >= -1e-10)
         assert res.objective_trace[-1] == pytest.approx(
-            objective(inst, res.y_relaxed), abs=1e-10
+            objective_dense(inst, res.y_relaxed), abs=1e-10
         )
 
     def test_iterates_stay_in_hull(self):
@@ -356,7 +358,7 @@ class TestSolve:
         assert len(stalled.objective_trace) == stalled.iterations + 1
         assert stalled.gap_trace[-1] <= 1e-10
         assert stalled.objective_trace[-1] == pytest.approx(
-            objective(inst, stalled.y_relaxed), abs=1e-10
+            objective_dense(inst, stalled.y_relaxed), abs=1e-10
         )
 
     def test_multi_stream_suite_with_soft_mask_converges(self, tmp_path):
@@ -669,6 +671,35 @@ class TestBatchedBlocksBitForBit:
         for y in (vertex, rng.standard_normal(vertex.shape)):
             for g, ref in zip(gradient(blind, y), gradient(inst, y), strict=True):
                 assert np.array_equal(g, ref)
+
+    @pytest.mark.parametrize("layout", list(LAYOUTS))
+    def test_objective_and_line_search_never_read_the_dense_q(self, layout):
+        rng = np.random.default_rng(list(self.LAYOUTS).index(layout) + 50)
+        inst = layout_instance(rng, self.LAYOUTS[layout])
+        q = inst.kernel.q_matrix
+        blind = replace(inst, kernel=CostKernel(np.full_like(q, np.nan), inst.kernel.gram_factor))
+        sizes = list(zip(inst.layout.i_sizes, inst.layout.j_sizes))
+        vertex, other = (
+            blocks_to_matrix(
+                [random_path(rng, i, j) if j > 1 else AlignmentPath(np.zeros(i, int), 1)
+                 for i, j in sizes],
+                inst.layout,
+            )
+            for _ in range(2)
+        )
+        # A random Y of the block-diagonal pattern, which both functions require.
+        noise = rng.standard_normal(vertex.shape) * block_diag(*[np.ones((j, i)) for i, j in sizes])
+        hull = 0.3 * vertex + 0.7 * other
+        for y in (vertex, hull, noise):
+            assert objective(blind, y) == pytest.approx(objective_dense(inst, y), abs=1e-12)
+        for y, d in ((hull, vertex - hull), (vertex, other - vertex), (hull, noise)):
+            # The minimizer over [0, 1] of the dense objective's restriction to y + t d.
+            f0, f1 = objective_dense(inst, y), objective_dense(inst, y + d)
+            fh = objective_dense(inst, y + 0.5 * d)
+            a = 4 * (f1 - 2 * fh + f0)
+            b = f1 - f0 - a / 2
+            expect = float(np.clip(-b / a, 0.0, 1.0))
+            assert exact_line_search(blind, y, d) == pytest.approx(expect, abs=1e-10)
 
     def test_sixteen_streams_of_the_kernel_workload_shape(self):
         # 16 streams of 41 x 250 with E = 8, the shape of the benchmark's

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from seqalign.core import compute_q, discriminative_cost
+from seqalign.core import compute_q
 from seqalign.data import Hyperparameters
 from seqalign.polytope import AlignmentPath, InfeasibleError
 from seqalign.supervision import (
@@ -15,7 +15,7 @@ from seqalign.supervision import (
 )
 
 from conftest import make_stream
-from oracles import enumerate_paths
+from oracles import discriminative_cost, enumerate_paths
 
 
 def _hp(**changes):
