@@ -20,7 +20,6 @@ from .polytope import (
     lmo_blocks,
     minimize_linear,
 )
-from .priors import PriorConfig
 from .rounding import round_feature, round_model, round_nearest
 from .solver import ProblemInstance, SolveResult, gradient, solve
 from .supervision import (

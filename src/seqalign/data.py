@@ -15,6 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .polytope import AlignmentPath
 from .rounding import ROUNDINGS
 from .supervision import SUPERVISION_MODES, Annotation
 
@@ -70,12 +71,18 @@ def write_annotations(path, ann):
     Path(path).write_text("\n".join(lines) + "\n")
 
 
+def _nonblank_lines(path):
+    """The (line number, line) pairs of a text file's non-blank lines, numbered from 1."""
+    lines = Path(path).read_text().splitlines()
+    return [(k, ln) for k, ln in enumerate(lines, start=1) if ln.strip()]
+
+
 def read_annotations(path, j_count=None, i_count=None):
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if not lines or lines[0] != ANNOTATION_HEADER:
+    lines = _nonblank_lines(path)
+    if not lines or lines[0][1] != ANNOTATION_HEADER:
         raise ValueError(f"{path}: missing '{ANNOTATION_HEADER}' header")
     entries = []
-    for k, ln in enumerate(lines[1:], start=2):
+    for k, ln in lines[1:]:
         toks = ln.split(",")
         if len(toks) != 3:
             raise ValueError(f"{path}:{k}: expected 'j,i_start,i_end'")
@@ -97,20 +104,19 @@ def write_predictions(path, pred):
 
 
 def read_predictions(path):
-    from .polytope import AlignmentPath
-
-    lines = [ln for ln in Path(path).read_text().splitlines() if ln.strip()]
-    if not lines or lines[0] != PREDICTION_HEADER:
+    lines = _nonblank_lines(path)
+    if not lines or lines[0][1] != PREDICTION_HEADER:
         raise ValueError(f"{path}: missing '{PREDICTION_HEADER}' header")
     if len(lines) == 1:
         raise ValueError(f"{path}: no prediction lines")
     assignment = []
-    for k, ln in enumerate(lines[1:], start=2):
+    for k, ln in lines[1:]:
         try:
             i, j = (int(t) for t in ln.split(","))
         except ValueError:
             raise ValueError(f"{path}:{k}: malformed prediction line") from None
-        if i != k - 2:
+        # Column i is the i-th data line, blank lines not counted.
+        if i != len(assignment):
             raise ValueError(f"{path}:{k}: malformed prediction line")
         # A path starts at row 0 and steps by at most 1, so row j <= column i.
         if not 0 <= j <= i:

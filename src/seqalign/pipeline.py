@@ -116,14 +116,15 @@ def run_align(manifest, out_dir, overrides=None):
     number of vertices that carry the final iterate.
     """
     hp = replace(manifest.hyperparameters, **(overrides or {}))
-    out_dir = Path(out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
 
     t0 = time.perf_counter()
     streams = load_streams(manifest)
     timings = {"load_s": time.perf_counter() - t0}
     _, result, preds = align_streams(streams, hp, timings)
 
+    # Made only now, so that an align that fails leaves no directory behind.
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
     t0 = time.perf_counter()
     for s, p in zip(streams, preds):
         io.write_predictions(out_dir / f"pred_{s.id}.csv", p)

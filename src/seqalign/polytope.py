@@ -168,15 +168,6 @@ def minimize_linear(cost, mask=None):
     return paths[0], float(values[0])
 
 
-def is_feasible(j_count, i_count, mask=None):
-    """Whether at least one path exists under the mask."""
-    try:
-        minimize_linear(np.zeros((j_count, i_count)), mask)
-        return True
-    except InfeasibleError:
-        return False
-
-
 def band_indicator(j_count, i_count, beta):
     """(J, I) 0/1 matrix Y_c of the cells outside the diagonal band of half-width beta.
 

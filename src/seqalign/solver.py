@@ -21,14 +21,7 @@ from scipy.linalg.lapack import dpotrf, dpotrs
 
 from .core import CostKernel, fit_model
 from .evaluation import diagonal_path
-from .polytope import (
-    StreamLayout,
-    band_indicator,
-    blocks_to_matrix,
-    lmo_blocks,
-    minimize_linear,
-)
-from .priors import PriorConfig
+from .polytope import StreamLayout, blocks_to_matrix, lmo_blocks, minimize_linear
 
 
 @dataclass(frozen=True)
@@ -38,15 +31,19 @@ class ProblemInstance:
     phi and psi are the concatenated (and, for phi, affine-augmented)
     feature matrices; masks is a per-stream tuple of CellMask, None where a
     stream is unconstrained.  A hard-supervised stream is pinned by a mask
-    that admits only its annotated path.
+    that admits only its annotated path.  The priors add
+    (1 / 2 sigma^2) ||Y 1 - mu||^2 and alpha Tr(Y_c^T Y); gradient states
+    both terms.
     """
 
     psi: np.ndarray  # (E, J_total)
     phi: np.ndarray  # (D, I_total)
     layout: StreamLayout
     kernel: CostKernel
-    priors: PriorConfig
-    band: tuple  # per stream, its (J_n, I_n) band indicator Y_c
+    mu: np.ndarray  # (J_total,) target column count of each row, supervision.resolve_mu
+    sigma: float  # spread of the duration prior
+    alpha: float  # weight of the band prior
+    band: tuple  # per stream, its (J_n, I_n) band indicator Y_c, polytope.band_indicator
     masks: tuple
 
 
@@ -66,11 +63,6 @@ class SolveResult:
         return self.stop_reason == "gap_tol"
 
 
-def block_band(layout, beta):
-    """Each stream's (J_n, I_n) band indicator, the diagonal blocks of Y_c."""
-    return tuple(band_indicator(j, i, beta) for j, i in zip(layout.j_sizes, layout.i_sizes))
-
-
 def _block_dot(blocks, y, layout):
     """sum_n <blocks_n, Y_n> over the diagonal blocks Y_n of a dense Y."""
     return float(sum(np.sum(b * layout.block(y, n)) for n, b in enumerate(blocks)))
@@ -82,10 +74,10 @@ def objective(instance, y):
     With g = gradient(Y) and its linear part c = gradient(0), the quadratic
     is 0.5 sum_n <g_n + c_n, Y_n> + ||mu||^2 / (2 sigma^2): Q is never read.
     """
-    y, p = np.asarray(y, dtype=np.float64), instance.priors
+    y, mu = np.asarray(y, dtype=np.float64), instance.mu
     g, c = gradient(instance, y), gradient(instance, np.zeros_like(y))
     total = _block_dot([g_n + c_n for g_n, c_n in zip(g, c)], y, instance.layout)
-    return 0.5 * total + float(p.mu @ p.mu) / (2.0 * p.sigma**2)
+    return 0.5 * total + float(mu @ mu) / (2.0 * instance.sigma**2)
 
 
 def _run_products(psi, x, layout, first, count):
@@ -126,12 +118,12 @@ def gradient(instance, y):
     array.
     """
     y = np.asarray(y, dtype=np.float64)
-    p, layout, psi, phi = instance.priors, instance.layout, instance.psi, instance.phi
+    layout, psi, phi = instance.layout, instance.psi, instance.phi
     py = psi @ y
     c, lower = instance.kernel.gram_factor
     s, _ = dpotrs(c, phi @ py.T, lower=lower)
     x = py - s.T @ phi
-    d = (y.sum(axis=1) - p.mu) / p.sigma**2
+    d = (y.sum(axis=1) - instance.mu) / instance.sigma**2
     blocks = []
     for first, count in layout.runs:
         J, j0 = layout.j_sizes[first], layout.j_offsets[first]
@@ -139,7 +131,7 @@ def gradient(instance, y):
         g /= layout.i_total
         g += d[j0 : j0 + count * J].reshape(count, J, 1)
         # band_indicator depends on the shape alone, so a run shares one.
-        g += p.alpha * instance.band[first]
+        g += instance.alpha * instance.band[first]
         blocks.extend(g)
     return blocks
 
@@ -205,8 +197,7 @@ class _ActiveSet:
         self.w = np.zeros(0)
         self.h = np.zeros((0, 0))
         self.b = np.zeros(0)
-        p = instance.priors
-        self.const = float(p.mu @ p.mu) / (2.0 * p.sigma**2)
+        self.const = float(instance.mu @ instance.mu) / (2.0 * instance.sigma**2)
 
     def objective(self, w):
         return float(0.5 * (w @ (self.h @ w)) + self.b @ w + self.const)
@@ -266,8 +257,8 @@ class _ActiveSet:
         are added one at a time.
         """
         inst, layout = self.instance, self.instance.layout
-        psi, q, p = inst.psi, inst.kernel.q_matrix, inst.priors
-        sigma2 = p.sigma**2
+        psi, q = inst.psi, inst.kernel.q_matrix
+        sigma2 = inst.sigma**2
         old, size = self.stream.size, self.stream.size + len(new)
         new_stream = np.array([n for n, _ in new])
         durations = [path.durations() for _, path in new]
@@ -299,8 +290,8 @@ class _ActiveSet:
                 products = _run_products(psi, image, layout, first, count)
                 rows[v, self.members[r]] = products.take(self.cells[r]).sum(axis=1)
                 del products  # a (count, J, I) array: keep one alive at a time
-            b_new = -float(p.mu[j0 : j0 + layout.j_sizes[n]] @ durations[v]) / sigma2
-            b_new += p.alpha * _path_sum(inst.band[n], path)
+            b_new = -float(inst.mu[j0 : j0 + layout.j_sizes[n]] @ durations[v]) / sigma2
+            b_new += inst.alpha * _path_sum(inst.band[n], path)
             b[old + v] = b_new
         rows /= layout.i_total
         for r, mine, place in added:
@@ -505,7 +496,7 @@ def _initial_paths(instance):
     return paths
 
 
-def solve(instance, max_iter=2000, gap_tol=1e-6):
+def solve(instance, max_iter, gap_tol):
     """Run fully-corrective Frank-Wolfe until the duality gap closes.
 
     It starts from the diagonal path of each stream, or the nearest

@@ -12,9 +12,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import augment_affine, compute_q
-from .polytope import CellMask, InfeasibleError, StreamLayout, is_feasible, minimize_linear
-from .priors import PriorConfig
-from .solver import ProblemInstance, block_band
+from .polytope import CellMask, InfeasibleError, StreamLayout, band_indicator, minimize_linear
+from .solver import ProblemInstance
 
 SUPERVISION_MODES = ("none", "soft", "hard")
 
@@ -88,11 +87,19 @@ def _interval_mask(ann, j_count, i_count, background_set):
     return CellMask(forbidden)
 
 
+def _feasible_minimizer(cost, mask):
+    """minimize_linear(cost, mask)'s path; InfeasibleError names the annotation if none exists."""
+    try:
+        path, _ = minimize_linear(cost, mask)
+    except InfeasibleError:
+        raise InfeasibleError("annotated intervals admit no monotone path") from None
+    return path
+
+
 def build_interval_mask(ann, j_count, i_count, background_set=frozenset()):
     """Soft supervision: annotated non-background rows confined to their intervals."""
     mask = _interval_mask(ann, j_count, i_count, background_set)
-    if not is_feasible(j_count, i_count, mask):
-        raise InfeasibleError("annotated intervals admit no monotone path")
+    _feasible_minimizer(np.zeros((j_count, i_count)), mask)
     return mask
 
 
@@ -116,11 +123,7 @@ def annotation_to_path(ann, j_count, i_count, background_set=frozenset()):
     for j, cols in ann.rows().items():
         if j not in background_set:
             reward[j, sorted(cols)] = -1.0
-    try:
-        path, _ = minimize_linear(reward, mask)
-    except InfeasibleError:
-        raise InfeasibleError("annotated intervals admit no monotone path") from None
-    return path
+    return _feasible_minimizer(reward, mask)
 
 
 def resolve_mu(layout, backgrounds, mu=None, mu_background=None):
@@ -182,13 +185,16 @@ def assemble(streams, hp):
                 raise ValueError(f"stream {s.id}: supervised but has no annotation")
             phi = hp.kappa * phi
             psi = hp.kappa * psi
-            if hp.supervision == "hard":
-                y_s = annotation_to_path(s.annotation, s.j_count, s.i_count, s.background)
-                masks.append(fix_assignment_mask(y_s))
-            else:
-                masks.append(
-                    build_interval_mask(s.annotation, s.j_count, s.i_count, s.background)
-                )
+            try:
+                if hp.supervision == "hard":
+                    y_s = annotation_to_path(s.annotation, s.j_count, s.i_count, s.background)
+                    masks.append(fix_assignment_mask(y_s))
+                else:
+                    masks.append(
+                        build_interval_mask(s.annotation, s.j_count, s.i_count, s.background)
+                    )
+            except InfeasibleError as e:
+                raise InfeasibleError(f"stream {s.id}: {e}") from None
         else:
             masks.append(None)
         phis.append(phi)
@@ -199,17 +205,14 @@ def assemble(streams, hp):
     )
     phi_all = np.hstack(phis)
     psi_all = np.hstack(psis)
-    priors = PriorConfig(
-        mu=resolve_mu(layout, [s.background for s in streams], hp.mu, hp.mu_background),
-        sigma=hp.sigma,
-        alpha=hp.alpha,
-    )
     return ProblemInstance(
         psi=psi_all,
         phi=phi_all,
         layout=layout,
         kernel=compute_q(phi_all, hp.lam),
-        priors=priors,
-        band=block_band(layout, hp.beta),
+        mu=resolve_mu(layout, [s.background for s in streams], hp.mu, hp.mu_background),
+        sigma=hp.sigma,
+        alpha=hp.alpha,
+        band=tuple(band_indicator(s.j_count, s.i_count, hp.beta) for s in streams),
         masks=tuple(masks),
     )

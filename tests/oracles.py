@@ -149,12 +149,11 @@ def gradient_dense(instance, y):
     dense Q; the tests hold its diagonal blocks to within round-off.
     """
     y = np.asarray(y, dtype=np.float64)
-    p = instance.priors
     g = instance.psi.T @ ((instance.psi @ y) @ instance.kernel.q_matrix)
     g /= instance.layout.i_total
-    d = (y.sum(axis=1) - p.mu) / p.sigma**2
+    d = (y.sum(axis=1) - instance.mu) / instance.sigma**2
     g += d[:, None]
-    g += p.alpha * block_diag(*instance.band)
+    g += instance.alpha * block_diag(*instance.band)
     return g
 
 
@@ -169,13 +168,13 @@ def discriminative_cost(psi, y, kernel):
     return float(np.sum((py @ kernel.q_matrix) * py) / (2.0 * i_total))
 
 
-def duration_penalty(y, config):
-    """(1 / 2 sigma^2) || Y 1_I - mu ||_2^2."""
+def duration_penalty(y, mu, sigma):
+    """(1 / 2 sigma^2) || Y 1_I - mu ||_2^2, mu the (J,) vector of row targets."""
     y = np.asarray(y, dtype=np.float64)
-    if config.mu.shape != (y.shape[0],):
-        raise ValueError(f"mu vector has length {config.mu.size}, expected {y.shape[0]}")
-    d = y.sum(axis=1) - config.mu
-    return float(np.dot(d, d) / (2.0 * config.sigma**2))
+    if mu.shape != (y.shape[0],):
+        raise ValueError(f"mu vector has length {mu.size}, expected {y.shape[0]}")
+    d = y.sum(axis=1) - mu
+    return float(np.dot(d, d) / (2.0 * sigma**2))
 
 
 def band_penalty(y, y_c, alpha):
@@ -196,11 +195,11 @@ def objective_dense(instance, y):
 
     The formula solver.objective replaced; any Y, off-block cells included.
     """
-    layout, alpha = instance.layout, instance.priors.alpha
+    layout, alpha = instance.layout, instance.alpha
     band = sum(band_penalty(layout.block(y, n), y_c, alpha) for n, y_c in enumerate(instance.band))
     return (
         discriminative_cost(instance.psi, y, instance.kernel)
-        + duration_penalty(y, instance.priors)
+        + duration_penalty(y, instance.mu, instance.sigma)
         + band
     )
 
@@ -222,10 +221,10 @@ def gradient_per_stream(instance, y):
     on BLAS's matrix kernel.
     """
     y = np.asarray(y, dtype=np.float64)
-    p, layout, phi = instance.priors, instance.layout, instance.phi
+    layout, phi = instance.layout, instance.phi
     py = instance.psi @ y
     x = py - cho_solve(instance.kernel.gram_factor, phi @ py.T).T @ phi
-    d = (y.sum(axis=1) - p.mu) / p.sigma**2
+    d = (y.sum(axis=1) - instance.mu) / instance.sigma**2
     blocks = []
     for n, y_c in enumerate(instance.band):
         J, I = y_c.shape
@@ -235,7 +234,7 @@ def gradient_per_stream(instance, y):
         g = (instance.psi[:, rows].T @ x[:, cols])[r : r + J, c : c + I]
         g /= layout.i_total
         g += d[j0 : j0 + J, None]
-        g += p.alpha * y_c
+        g += instance.alpha * y_c
         blocks.append(g)
     return blocks
 
@@ -248,8 +247,8 @@ def gram_per_vertex(instance, vertices):
     (1/I) <psi_m V_l, (psi V Q)_m> summed over V_l's cells, plus the
     duration term within its stream; H grows by one row and column.
     """
-    layout, psi, q, p = instance.layout, instance.psi, instance.kernel.q_matrix, instance.priors
-    sigma2 = p.sigma**2
+    layout, psi, q = instance.layout, instance.psi, instance.kernel.q_matrix
+    sigma2 = instance.sigma**2
     members = [[] for _ in range(layout.n_streams)]
     rows = [[] for _ in range(layout.n_streams)]
     durations = [[] for _ in range(layout.n_streams)]
@@ -277,8 +276,8 @@ def gram_per_vertex(instance, vertices):
             row[members[m]] = c[np.array(rows[m]), np.arange(im)].sum(axis=1)
         row /= layout.i_total
         row[members[n]] += np.array(durations[n]) @ d_new / sigma2
-        b_new = -float(p.mu[j0 : j0 + layout.j_sizes[n]] @ d_new) / sigma2
-        b_new += p.alpha * float(instance.band[n][path.assignment, np.arange(path.i_count)].sum())
+        b_new = -float(instance.mu[j0 : j0 + layout.j_sizes[n]] @ d_new) / sigma2
+        b_new += instance.alpha * float(instance.band[n][path.assignment, np.arange(path.i_count)].sum())
         grown = np.empty((size, size))
         grown[:-1, :-1] = h
         grown[-1, :] = row
@@ -367,16 +366,16 @@ def reference_certificate(instance, result, hp):
     Q = Id - phi^T G^{-1} phi; the linear minimizer is lmo_blocks, which the
     tests check against enumeration.  hp is the solve's Hyperparameters.
     """
-    psi, phi, y, p = instance.psi, instance.phi, result.y_relaxed, instance.priors
+    psi, phi, y, mu = instance.psi, instance.phi, result.y_relaxed, instance.mu
     D, I = phi.shape
     gram = phi @ phi.T + I * hp.lam * np.eye(D)
     w = np.linalg.solve(gram, phi @ (psi @ y).T).T
     f = ridge_residual(psi, y, phi, w, hp.lam)
     band = block_diag(*instance.band)
-    f += duration_penalty(y, p) + band_penalty(y, band, hp.alpha)
+    f += duration_penalty(y, mu, instance.sigma) + band_penalty(y, band, hp.alpha)
     q = np.eye(I) - phi.T @ np.linalg.solve(gram, phi)
     grad = (psi.T @ psi) @ y @ q / I
-    grad += ((y.sum(axis=1) - p.mu) / p.sigma**2)[:, None] + hp.alpha * band
+    grad += ((y.sum(axis=1) - mu) / instance.sigma**2)[:, None] + hp.alpha * band
     v_paths, _ = lmo_blocks(diagonal_blocks(grad, instance.layout), instance.masks)
     v = blocks_to_matrix(v_paths, instance.layout)
     return f, float(np.sum(grad * (y - v)))

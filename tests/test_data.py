@@ -109,6 +109,12 @@ class TestAnnotationIO:
         with pytest.raises(ValueError):
             read_annotations(f, j_count=2, i_count=5)
 
+    def test_line_number_counts_blank_lines(self, tmp_path):
+        f = tmp_path / "a.csv"
+        f.write_text("j,i_start,i_end\n\n1,x,3\n")
+        with pytest.raises(ValueError, match=":3: non-integer token"):
+            read_annotations(f)
+
 
 class TestPredictionIO:
     def test_round_trip(self, tmp_path):
@@ -129,6 +135,15 @@ class TestPredictionIO:
         f = tmp_path / "p.csv"
         f.write_text("i,j\n")
         with pytest.raises(ValueError, match="no prediction lines"):
+            read_predictions(f)
+
+    def test_line_number_counts_blank_lines(self, tmp_path):
+        f = tmp_path / "p.csv"
+        # Column i is the i-th data line: the blank line takes no column.
+        f.write_text("i,j\n0,0\n\n1,1\n")
+        np.testing.assert_array_equal(read_predictions(f).assignment, [0, 1])
+        f.write_text("i,j\n0,0\n\n1,x\n")
+        with pytest.raises(ValueError, match=":4: malformed prediction line"):
             read_predictions(f)
 
 
@@ -308,7 +323,8 @@ class TestManifest:
          {"supervision": None}, {"lamda": 5}, {"lambda": float("inf")},
          {"sigma": float("nan")}, {"lambda": 0}, {"sigma": 1e200}, {"sigma": 10**200},
          {"sigma": 10**400}, {"sigma": 1e-200}, {"mu": 0.5}, {"mu": -1, "mu_background": None},
-         {"mu_background": 0}, {"alpha": -0.1}, {"beta": 2}, {"kappa": -1}],
+         {"mu_background": 0}, {"alpha": -0.1}, {"beta": 2}, {"kappa": -1}, {"sigma": 0},
+         {"sigma": -1}],
     )
     def test_bad_hyperparameter_values_rejected(self, tmp_path, hp):
         with pytest.raises(ValueError, match="hyperparameter"):
@@ -692,6 +708,22 @@ class TestCli:
         assert err[0].startswith("ValueError: stream stream_01: "), err
         assert err[0].endswith(f"stream_01.{name}.csv:{row + 2}: non-finite value"), err
         assert preds == []
+        assert not (tmp_path / "out").exists()  # made only once the solve has returned
+
+    @pytest.mark.parametrize("supervision", ["soft", "hard"])
+    def test_infeasible_annotation_exits_1_naming_the_stream(self, tmp_path, capsys,
+                                                             supervision):
+        def edit(raw, suite):
+            # Row 1 confined to column 0, which every path gives to row 0.
+            (suite / "stream_00.gt.csv").write_text("j,i_start,i_end\n1,0,1\n3,5,8\n")
+            raw["streams"][0]["supervised"] = True
+            raw["hyperparameters"]["supervision"] = supervision
+
+        code, err, _ = self.run_edited(tmp_path, capsys, "align", edit)
+        assert code == 1
+        assert err == ["InfeasibleError: stream stream_00: "
+                       "annotated intervals admit no monotone path"]
+        assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("name", ["phi", "psi"])
     def test_feature_file_without_rows_exits_1(self, tmp_path, capsys, name):

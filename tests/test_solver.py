@@ -69,8 +69,8 @@ class TestObjective:
         total = objective(inst, y)
         parts = (
             discriminative_cost(inst.psi, y, inst.kernel)
-            + duration_penalty(y, inst.priors)
-            + band_penalty(y, inst.band[0], inst.priors.alpha)
+            + duration_penalty(y, inst.mu, inst.sigma)
+            + band_penalty(y, inst.band[0], inst.alpha)
         )
         assert total == pytest.approx(parts, abs=1e-12)
 
@@ -84,8 +84,8 @@ class TestObjective:
             w = fit_model(inst.psi, y, inst.phi, inst.kernel)
             expect = (
                 ridge_residual(inst.psi, y, inst.phi, w, lam)
-                + duration_penalty(y, inst.priors)
-                + inst.priors.alpha * np.sum(inst.band[0] * y)
+                + duration_penalty(y, inst.mu, inst.sigma)
+                + inst.alpha * np.sum(inst.band[0] * y)
             )
             assert objective(inst, y) == pytest.approx(expect, rel=1e-8)
 
@@ -112,31 +112,15 @@ class TestGradient:
         rng = np.random.default_rng(3)
         inst = make_instance(rng, i_count=4, n_sentences=1, alpha=0.0, beta=1.0)
         # psi = 0 kills the data term; row sums matching mu kill the rest.
-        inst = type(inst)(
-            psi=np.zeros_like(inst.psi),
-            phi=inst.phi,
-            layout=inst.layout,
-            kernel=inst.kernel,
-            priors=inst.priors,
-            band=inst.band,
-            masks=inst.masks,
-        )
-        mu = inst.priors.mu
+        inst = replace(inst, psi=np.zeros_like(inst.psi))
+        mu = inst.mu
         y = np.tile((mu / inst.layout.i_total)[:, None], (1, inst.layout.i_total))
         np.testing.assert_allclose(gradient(inst, y)[0], 0.0, atol=1e-12)
 
     def test_pure_band_term(self):
         rng = np.random.default_rng(4)
         inst = make_instance(rng, i_count=5, n_sentences=1, sigma=1e9, alpha=0.4)
-        inst = type(inst)(
-            psi=np.zeros_like(inst.psi),
-            phi=inst.phi,
-            layout=inst.layout,
-            kernel=inst.kernel,
-            priors=inst.priors,
-            band=inst.band,
-            masks=inst.masks,
-        )
+        inst = replace(inst, psi=np.zeros_like(inst.psi))
         y = rng.random((inst.layout.j_total, inst.layout.i_total))
         np.testing.assert_allclose(gradient(inst, y)[0], 0.4 * inst.band[0], atol=1e-17)
 
@@ -273,7 +257,7 @@ class TestSolve:
     def test_square_stream_converges_immediately(self):
         rng = np.random.default_rng(8)
         inst = make_instance(rng, i_count=3, n_sentences=1)
-        res = solve(inst)
+        res = solve(inst, max_iter=2000, gap_tol=1e-6)
         assert res.converged
         assert res.iterations == 0
         assert res.gap_trace[-1] <= 1e-6
@@ -323,16 +307,8 @@ class TestSolve:
 
         inst = make_instance(rng, i_count=6, n_sentences=1)
         pinned = AlignmentPath(np.array([0, 1, 1, 1, 2, 2]), j_count=3)
-        inst = type(inst)(
-            psi=inst.psi,
-            phi=inst.phi,
-            layout=inst.layout,
-            kernel=inst.kernel,
-            priors=inst.priors,
-            band=inst.band,
-            masks=(fix_assignment_mask(pinned),),
-        )
-        res = solve(inst, max_iter=100)
+        inst = replace(inst, masks=(fix_assignment_mask(pinned),))
+        res = solve(inst, max_iter=100, gap_tol=1e-6)
         np.testing.assert_array_equal(res.y_relaxed, path_to_matrix(pinned))
 
     def test_returns_fitted_model(self):
@@ -345,7 +321,7 @@ class TestSolve:
     def test_stop_reasons(self):
         rng = np.random.default_rng(15)
         inst = make_instance(rng, i_count=8, n_sentences=2)
-        closed = solve(inst)
+        closed = solve(inst, max_iter=2000, gap_tol=1e-6)
         assert closed.converged and closed.stop_reason == "gap_tol"
         assert closed.gap_trace[-1] <= 1e-6
         # A negative tolerance can never be met: only the budget or a stall ends.
@@ -389,7 +365,7 @@ class TestDenseIterate:
         tracemalloc.start()
         try:
             before = tracemalloc.get_traced_memory()[0]
-            res = solve(inst, max_iter=6)
+            res = solve(inst, max_iter=6, gap_tol=1e-6)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()

@@ -282,5 +282,5 @@ class TestAssemble:
         assert inst.layout.i_sizes == (6, 8)
         assert inst.layout.j_sizes == (3, 5)
         np.testing.assert_allclose(
-            inst.priors.mu, [2.0, 2.0, 2.0, 1.6, 1.6, 1.6, 1.6, 1.6]
+            inst.mu, [2.0, 2.0, 2.0, 1.6, 1.6, 1.6, 1.6, 1.6]
         )
