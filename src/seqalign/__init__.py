@@ -12,7 +12,6 @@ from .data import Hyperparameters
 from .evaluation import diagonal_path, jaccard_score, random_path
 from .polytope import (
     AlignmentPath,
-    CellMask,
     InfeasibleError,
     StreamLayout,
     band_indicator,

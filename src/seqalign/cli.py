@@ -18,8 +18,16 @@ def _add_manifest_flags(p):
     p.add_argument("--out-dir", required=True, help="output directory")
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError on a bad command line, so that main reports it in one line."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    # add_subparsers makes each subcommand's parser of this class too.
+    parser = _Parser(
         prog="seqalign",
         description="Temporal alignment of ordered feature streams",
     )
@@ -116,9 +124,9 @@ def _unmap_large_arrays_on_free():
 # A float that overflows, or an operation invalid on floats, raises instead of warning.
 @np.errstate(over="raise", divide="raise", invalid="raise")
 def main(argv=None):
-    args = build_parser().parse_args(argv)
-    _unmap_large_arrays_on_free()
     try:
+        args = build_parser().parse_args(argv)
+        _unmap_large_arrays_on_free()
         if args.command == "synth":
             cfg = {k: v for k, v in vars(args).items() if k not in ("command", "out_dir")}
             manifest = pipeline.run_synth(args.out_dir, **cfg)

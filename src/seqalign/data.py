@@ -121,6 +121,9 @@ def read_predictions(path):
         # A path starts at row 0 and steps by at most 1, so row j <= column i.
         if not 0 <= j <= i:
             raise ValueError(f"{path}:{k}: row {j} out of range")
+        if assignment and j - assignment[-1] not in (0, 1):
+            prev = assignment[-1]
+            raise ValueError(f"{path}:{k}: row {j} after row {prev}: path steps must be 0 or 1")
         assignment.append(j)
     a = np.asarray(assignment, dtype=np.int64)
     return AlignmentPath(a, j_count=int(a[-1]) + 1)

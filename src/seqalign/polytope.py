@@ -48,16 +48,6 @@ class AlignmentPath:
 
 
 @dataclass(frozen=True)
-class CellMask:
-    """Boolean (J, I) matrix; True marks a forbidden assignment cell."""
-
-    forbidden: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "forbidden", np.asarray(self.forbidden, dtype=bool))
-
-
-@dataclass(frozen=True)
 class StreamLayout:
     """Block-diagonal layout of per-stream assignment matrices."""
 
@@ -137,9 +127,11 @@ def _sweep(blocks, masks):
             raise ValueError("cost matrix contains non-finite entries")
         for n, r in zip(members, starts):
             if masks[n] is not None:
-                if masks[n].forbidden.shape != blocks[n].shape:
+                # As bool, so that a 0/1 integer mask cannot act as a fancy index.
+                mask = np.asarray(masks[n], dtype=bool)
+                if mask.shape != blocks[n].shape:
                     raise ValueError("mask shape does not match cost shape")
-                lattice[r : r + blocks[n].shape[0]][masks[n].forbidden] = np.inf
+                lattice[r : r + blocks[n].shape[0]][mask] = np.inf
         closed_end = np.ones(lattice.shape[0], dtype=bool)
         closed_end[ends - 2] = False
         lattice[closed_end, -1] = np.inf
@@ -158,8 +150,10 @@ def _sweep(blocks, masks):
 def minimize_linear(cost, mask=None):
     """Exact argmin of sum(cost[j,i] * Y[j,i]) over alignment paths.
 
-    Ties are broken by preferring to stay on the current row while walking
-    the path forward, which makes the result deterministic.
+    mask, if given, is a boolean array of cost's (J, I) shape, True on a
+    forbidden cell.  Ties are broken by preferring to stay on the current
+    row while walking the path forward, which makes the result
+    deterministic.
 
     Returns (path, value).  Raises InfeasibleError when no path avoids the
     forbidden cells (including the case J > I).
@@ -184,7 +178,7 @@ def lmo_blocks(blocks, masks=None):
     """Per-stream linear minimization over the block-diagonal polytope.
 
     blocks lists each stream's (J_n, I_n) cost block.  masks is an optional
-    per-stream list of CellMask or None; a hard-supervised stream's mask
+    per-stream list of masks or None; a hard-supervised stream's mask
     admits a single path, which the oracle then returns.  The streams of
     one width share one DP sweep (see _sweep).
 

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from itertools import compress
 
 import numpy as np
-from scipy.linalg.lapack import dpotrf, dpotrs
+from scipy.linalg.lapack import dposv, dpotrs
 
 from .core import CostKernel, fit_model
 from .evaluation import diagonal_path
@@ -29,9 +29,10 @@ class ProblemInstance:
     """A fully assembled relaxed alignment problem.
 
     phi and psi are the concatenated (and, for phi, affine-augmented)
-    feature matrices; masks is a per-stream tuple of CellMask, None where a
-    stream is unconstrained.  A hard-supervised stream is pinned by a mask
-    that admits only its annotated path.  The priors add
+    feature matrices; masks is a per-stream tuple of boolean (J_n, I_n)
+    arrays, True on a forbidden cell, None where a stream is unconstrained.
+    A hard-supervised stream is pinned by a mask that admits only its
+    annotated path.  The priors add
     (1 / 2 sigma^2) ||Y 1 - mu||^2 and alpha Tr(Y_c^T Y); gradient states
     both terms.
     """
@@ -143,20 +144,18 @@ def _clamped_step(slope, curvature):
     return float(min(max(-slope / curvature, 0.0), 1.0))
 
 
-def exact_line_search(instance, y, direction, grad=None):
+def exact_line_search(instance, y, direction):
     """Optimal step in [0, 1] along a direction D of the quadratic.
 
-    y and direction are dense and zero off the diagonal blocks; grad, if
-    given, is gradient's blocks at y.  gamma* = clamp(-<grad, D> / c, 0, 1)
-    with the curvature c = sum_n <gradient(D)_n - gradient(0)_n, D_n>, which
-    is (1/I) Tr(psi D Q D^T psi^T) + (1/sigma^2) ||D 1||^2 without Q.
+    y and direction are dense and zero off the diagonal blocks.
+    gamma* = clamp(-<gradient(Y), D> / c, 0, 1) with the curvature
+    c = sum_n <gradient(D)_n - gradient(0)_n, D_n>, which is
+    (1/I) Tr(psi D Q D^T psi^T) + (1/sigma^2) ||D 1||^2 without Q.
     """
-    if grad is None:
-        grad = gradient(instance, y)
     d = np.asarray(direction, dtype=np.float64)
-    g_d, c = gradient(instance, d), gradient(instance, np.zeros_like(d))
+    g, g_d, c = gradient(instance, y), gradient(instance, d), gradient(instance, np.zeros_like(d))
     curvature = _block_dot([a - b for a, b in zip(g_d, c)], d, instance.layout)
-    return _clamped_step(_block_dot(grad, d, instance.layout), curvature)
+    return _clamped_step(_block_dot(g, d, instance.layout), curvature)
 
 
 def _path_sum(block, path):
@@ -379,32 +378,6 @@ def _sum_zero_basis(stream_f):
     return z
 
 
-def _cholesky_solve(a, b):
-    """x with a x = b, from the Cholesky factor of a's upper triangle.
-
-    scipy's cho_factor(a, overwrite_a=True) and then cho_solve, without
-    their wrappers: the same potrf and potrs of scipy's LAPACK, called with
-    the same arguments, and the same checks and error messages.
-    """
-    if not np.isfinite(a).all():
-        raise ValueError("array must not contain infs or NaNs")
-    c, info = dpotrf(a, lower=False, clean=False, overwrite_a=True)
-    if info > 0:
-        raise np.linalg.LinAlgError(
-            f"{info}-th leading minor of the array is not positive definite"
-        )
-    if info < 0:
-        raise ValueError(
-            f'LAPACK reported an illegal value in {-info}-th argument on entry to "POTRF".'
-        )
-    if not np.isfinite(b).all():
-        raise ValueError("array must not contain infs or NaNs")
-    x, info = dpotrs(c, b, lower=False, overwrite_b=False)
-    if info != 0:
-        raise ValueError(f"illegal value in {-info}th argument of internal potrs")
-    return x
-
-
 def _face_direction(h, g, free, stream):
     """Descent direction on the face of the support: zero off ``free``, stream sums zero.
 
@@ -422,7 +395,16 @@ def _face_direction(h, g, free, stream):
     ridge = 1e-10 * h.diagonal().max() or 1.0
     a = z.T @ (h.take(f, axis=0).take(f, axis=1) @ z)
     a.flat[:: a.shape[0] + 1] += ridge
-    d[f] = z @ -_cholesky_solve(a, z.T @ g[f])
+    rhs = z.T @ g[f]
+    # scipy's cho_factor and cho_solve, with their messages, in one LAPACK call.
+    if not (np.isfinite(a).all() and np.isfinite(rhs).all()):
+        raise ValueError("array must not contain infs or NaNs")
+    _, x, info = dposv(a, rhs, lower=False, overwrite_a=True)
+    if info > 0:
+        raise np.linalg.LinAlgError(
+            f"{info}-th leading minor of the array is not positive definite"
+        )
+    d[f] = z @ -x
     return d
 
 
@@ -485,7 +467,7 @@ def _initial_paths(instance):
         I, J = layout.i_sizes[n], layout.j_sizes[n]
         mask = instance.masks[n]
         diag = diagonal_path(I, J)
-        if mask is None or not mask.forbidden[diag.assignment, np.arange(I)].any():
+        if mask is None or not mask[diag.assignment, np.arange(I)].any():
             paths.append(diag)
         else:
             # Fall back to the feasible path closest to the diagonal.

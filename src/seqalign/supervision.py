@@ -8,11 +8,13 @@ squared loss is weighted by kappa^2.
 """
 
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 
 import numpy as np
 
 from .core import augment_affine, compute_q
-from .polytope import CellMask, InfeasibleError, StreamLayout, band_indicator, minimize_linear
+from .polytope import InfeasibleError, StreamLayout, band_indicator, minimize_linear
 from .solver import ProblemInstance
 
 SUPERVISION_MODES = ("none", "soft", "hard")
@@ -31,6 +33,8 @@ class Annotation:
         for j, a, b in entries:
             if a >= b:
                 raise ValueError(f"row {j}: empty interval [{a}, {b})")
+            if a < 0:
+                raise ValueError(f"row {j}: interval [{a}, {b}) starts before column 0")
             if j < prev_j or (j > prev_j and a < prev_end):
                 raise ValueError(f"row {j}: intervals out of order or overlapping")
             if j == prev_j and a < prev_end:
@@ -41,13 +45,6 @@ class Annotation:
         for j, a, b in self.entries:
             if not (0 <= j < j_count and 0 <= a < b <= i_count):
                 raise ValueError(f"annotation ({j},{a},{b}) out of range for J={j_count}, I={i_count}")
-
-    def rows(self):
-        """Map row index -> set of annotated columns."""
-        out = {}
-        for j, a, b in self.entries:
-            out.setdefault(j, set()).update(range(a, b))
-        return out
 
 
 @dataclass(frozen=True)
@@ -78,13 +75,14 @@ class Stream:
 def _interval_mask(ann, j_count, i_count, background_set):
     """The mask that confines annotated non-background rows to their intervals, unchecked."""
     ann.validate_range(j_count, i_count)
-    forbidden = np.zeros((j_count, i_count), dtype=bool)
-    for j, cols in ann.rows().items():
+    mask = np.zeros((j_count, i_count), dtype=bool)
+    for j, intervals in groupby(ann.entries, key=itemgetter(0)):
         if j in background_set:
             continue
-        forbidden[j, :] = True
-        forbidden[j, sorted(cols)] = False
-    return CellMask(forbidden)
+        mask[j] = True
+        for _, a, b in intervals:
+            mask[j, a:b] = False
+    return mask
 
 
 def _feasible_minimizer(cost, mask):
@@ -105,9 +103,9 @@ def build_interval_mask(ann, j_count, i_count, background_set=frozenset()):
 
 def fix_assignment_mask(y_s):
     """Hard supervision: forbid every cell off the given path."""
-    forbidden = np.ones((y_s.j_count, y_s.i_count), dtype=bool)
-    forbidden[y_s.assignment, np.arange(y_s.i_count)] = False
-    return CellMask(forbidden)
+    mask = np.ones((y_s.j_count, y_s.i_count), dtype=bool)
+    mask[y_s.assignment, np.arange(y_s.i_count)] = False
+    return mask
 
 
 def annotation_to_path(ann, j_count, i_count, background_set=frozenset()):
@@ -120,9 +118,9 @@ def annotation_to_path(ann, j_count, i_count, background_set=frozenset()):
     """
     mask = _interval_mask(ann, j_count, i_count, background_set)
     reward = np.zeros((j_count, i_count))
-    for j, cols in ann.rows().items():
+    for j, a, b in ann.entries:
         if j not in background_set:
-            reward[j, sorted(cols)] = -1.0
+            reward[j, a:b] = -1.0
     return _feasible_minimizer(reward, mask)
 
 

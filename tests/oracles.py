@@ -1,6 +1,7 @@
 """Brute-force references the tests check the package against.
 
 Exhaustive path enumeration, the per-stream DP and linear oracle, the
+set-based forms of an annotation's interval mask and Jaccard score, the
 Helmert basis of the weight-space correction, the vertex matrix of a path
 and the dense iterate of weighted paths, the dense kernel Q and the dense
 gradient, the reduced cost, the two priors and the objective they sum to
@@ -49,7 +50,6 @@ def enumerate_paths(i_count, j_count, mask=None):
         )
     if j_count > i_count:
         return []
-    forbidden = mask.forbidden if mask is not None else None
     cols = np.arange(i_count)
     paths = []
     # A path is determined by the J-1 columns at which the row advances.
@@ -57,10 +57,45 @@ def enumerate_paths(i_count, j_count, mask=None):
         assignment = np.zeros(i_count, dtype=np.int64)
         for s in steps:
             assignment[s:] += 1
-        if forbidden is not None and forbidden[assignment, cols].any():
+        if mask is not None and mask[assignment, cols].any():
             continue
         paths.append(AlignmentPath(assignment, j_count=j_count))
     return paths
+
+
+def annotation_rows(ann):
+    """Row index -> set of the columns an annotation's intervals cover."""
+    out = {}
+    for j, a, b in ann.entries:
+        out.setdefault(j, set()).update(range(a, b))
+    return out
+
+
+def interval_mask_sets(ann, j_count, i_count, background_set):
+    """Soft supervision's (J, I) mask from annotation_rows' sets."""
+    forbidden = np.zeros((j_count, i_count), dtype=bool)
+    for j, cols in annotation_rows(ann).items():
+        if j in background_set:
+            continue
+        forbidden[j, :] = True
+        forbidden[j, sorted(cols)] = False
+    return forbidden
+
+
+def jaccard_sets(pred, gt, background_set):
+    """jaccard_score from annotation_rows' sets and the path's columns of each row."""
+    scores = []
+    for j, cols in annotation_rows(gt).items():
+        if j in background_set:
+            continue
+        pred_j = np.flatnonzero(pred.assignment == j)
+        if pred_j.size == 0:
+            scores.append(0.0)
+        else:
+            scores.append(len(cols.intersection(pred_j.tolist())) / pred_j.size)
+    if not scores:
+        raise ValueError("no scorable rows")
+    return float(np.mean(scores))
 
 
 def path_count(i_count, j_count):
@@ -107,7 +142,7 @@ def lmo_blocks_single(cost, layout, masks=None):
         if J > I:
             raise InfeasibleError(f"no monotone path exists for J={J} > I={I}")
         if masks is not None and masks[n] is not None:
-            block[masks[n].forbidden] = np.inf
+            block[masks[n]] = np.inf
         value, path = dp_align_single(block)
         if not np.isfinite(value):
             raise InfeasibleError("mask forbids every monotone path")

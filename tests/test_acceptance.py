@@ -22,7 +22,7 @@ from seqalign.data import (
     synthesize,
 )
 from seqalign.evaluation import diagonal_path, jaccard_score
-from seqalign.polytope import CellMask, minimize_linear
+from seqalign.polytope import minimize_linear
 from seqalign.rounding import round_feature, round_model, round_nearest
 from seqalign.solver import gradient, solve
 from seqalign.supervision import Stream, assemble
@@ -53,7 +53,7 @@ def _random_shapes(rng):
 
 def _random_feasible_mask(rng, j, i, p=0.3):
     while True:
-        mask = CellMask(rng.random((j, i)) < p)
+        mask = rng.random((j, i)) < p
         if enumerate_paths(i, j, mask):
             return mask
 

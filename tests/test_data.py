@@ -468,6 +468,29 @@ class TestCli:
         else:
             assert err == []
 
+    @pytest.mark.parametrize(
+        "argv, error",
+        [(["align", "--manifest", "m.json", "--out-dir", "out", "--max-iter", "1e3"],
+          "argument --max-iter: invalid int value: '1e3'"),
+         (["synth", "--out-dir", "out", "--noise", "high"],
+          "argument --noise: invalid float value: 'high'"),
+         (["eval", "--out-dir", "out"], "the following arguments are required: --manifest")],
+        ids=["bad-int", "bad-float", "missing-manifest"],
+    )
+    def test_a_flag_argparse_rejects_exits_1_with_one_line(
+        self, tmp_path, monkeypatch, capsys, argv, error
+    ):
+        monkeypatch.chdir(tmp_path)
+        assert cli.main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == [f"ValueError: {error}"] and captured.out == ""
+        assert list(tmp_path.iterdir()) == []
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as e:
+            cli.main(["align", "-h"])
+        assert e.value.code == 0 and "--manifest" in capsys.readouterr().out
+
     def test_synth_align_eval_smoke(self, tmp_path, capsys):
         suite = tmp_path / "suite"
         assert (
@@ -542,8 +565,10 @@ class TestCli:
     @pytest.mark.parametrize(
         "lines, error",
         [([f"{i},0" for i in range(7)], "stream stream_00: prediction has wrong length"),
-         (["0,0", "1,2"], "pred_stream_00.csv:3: row 2 out of range")],
-        ids=["wrong-length", "row-out-of-range"],
+         (["0,0", "1,2"], "pred_stream_00.csv:3: row 2 out of range"),
+         (["0,0", "1,0", "2,0", "3,2"],
+          "pred_stream_00.csv:5: row 2 after row 0: path steps must be 0 or 1")],
+        ids=["wrong-length", "row-out-of-range", "step-of-two"],
     )
     def test_eval_of_a_malformed_prediction_exits_1(self, tmp_path, capsys, lines, error):
         # The stream has 8 intervals; a prediction's row is at most its column.

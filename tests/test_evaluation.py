@@ -39,6 +39,12 @@ class TestJaccardScore:
         with pytest.raises(ValueError):
             jaccard_score(pred, Annotation(((0, 0, 1),)), background_set={0})
 
+    def test_row_of_two_intervals(self):
+        pred = AlignmentPath(np.array([0, 0, 1, 1, 1, 1, 1, 2]), j_count=3)
+        gt = Annotation(((1, 1, 3), (1, 5, 7)))
+        # pred row 1 = {2,3,4,5,6}; truth = {1,2} and {5,6}; 3 of 5 hit.
+        assert jaccard_score(pred, gt) == 3 / 5
+
     def test_two_of_four_predicted_columns_correct(self):
         pred = AlignmentPath(np.array([0, 1, 1, 1, 1, 2]), j_count=3)
         gt = Annotation(((1, 3, 7),))

@@ -7,7 +7,6 @@ from seqalign import polytope
 from seqalign._kernels import dp_align
 from seqalign.polytope import (
     AlignmentPath,
-    CellMask,
     InfeasibleError,
     StreamLayout,
     band_indicator,
@@ -34,8 +33,7 @@ def path_cost(path, cost):
 def random_feasible_mask(rng, j_count, i_count, p=0.3):
     """Random mask that keeps at least one enumerated path feasible."""
     while True:
-        forbidden = rng.random((j_count, i_count)) < p
-        mask = CellMask(forbidden)
+        mask = rng.random((j_count, i_count)) < p
         if enumerate_paths(i_count, j_count, mask):
             return mask
 
@@ -112,7 +110,20 @@ class TestMinimizeLinear:
             path, value = minimize_linear(cost, mask)
             best = min(path_cost(p, cost) for p in enumerate_paths(i, j, mask))
             assert value == pytest.approx(best, abs=1e-12)
-            assert not mask.forbidden[path.assignment, np.arange(i)].any()
+            assert not mask[path.assignment, np.arange(i)].any()
+
+    def test_integer_mask_acts_as_its_boolean_form(self):
+        # A 0/1 int64 array used as an index would pick rows 0 and 1, not the marked cells.
+        rng = np.random.default_rng(5)
+        for _ in range(50):
+            i = int(rng.integers(2, 9))
+            j = int(rng.integers(1, min(i, 4) + 1))
+            mask = random_feasible_mask(rng, j, i)
+            cost = rng.standard_normal((j, i))
+            path, value = minimize_linear(cost, mask)
+            path_int, value_int = minimize_linear(cost, mask.astype(np.int64))
+            np.testing.assert_array_equal(path_int.assignment, path.assignment)
+            assert value_int == value
 
     def test_tie_break_prefers_staying(self):
         path, _ = minimize_linear(np.zeros((3, 6)))
@@ -122,7 +133,7 @@ class TestMinimizeLinear:
     def test_infeasible_cases(self):
         with pytest.raises(InfeasibleError):
             minimize_linear(np.zeros((3, 2)))
-        mask = CellMask(np.ones((2, 3), dtype=bool))
+        mask = np.ones((2, 3), dtype=bool)
         with pytest.raises(InfeasibleError):
             minimize_linear(np.zeros((2, 3)), mask)
 
@@ -245,7 +256,7 @@ class TestLmoBlocks:
 
     def test_mask_of_another_shape_rejected(self):
         blocks = [np.zeros((2, 4)), np.zeros((2, 4))]
-        masks = [None, CellMask(np.zeros((2, 3), dtype=bool))]
+        masks = [None, np.zeros((2, 3), dtype=bool)]
         with pytest.raises(ValueError, match="mask shape does not match cost shape"):
             lmo_blocks(blocks, masks)
 
@@ -277,7 +288,7 @@ def random_layout_case(rng, n_streams, max_i=30, integer=False, p_forbid=0.0):
     else:
         cost = rng.standard_normal(shape)
     masks = [
-        CellMask(rng.random((j, i)) < p_forbid) if p_forbid and rng.random() < 0.7 else None
+        rng.random((j, i)) < p_forbid if p_forbid and rng.random() < 0.7 else None
         for i, j in zip(i_sizes, j_sizes)
     ]
     return cost, layout, masks
@@ -379,14 +390,14 @@ class TestLmoBlocksSweep:
         with pytest.raises(InfeasibleError, match=r"^no monotone path exists for J=3 > I=2$"):
             lmo_blocks(diagonal_blocks(np.zeros((5, 6)), layout))
         layout = StreamLayout(i_sizes=[4, 3], j_sizes=[2, 2])
-        closed = CellMask(np.ones((2, 3), dtype=bool))
+        closed = np.ones((2, 3), dtype=bool)
         with pytest.raises(InfeasibleError, match=r"^mask forbids every monotone path$"):
             lmo_blocks(diagonal_blocks(np.zeros((4, 7)), layout), [None, closed])
         # Only the last column of the last row is open: no path reaches it from row 0.
         edge = np.ones((2, 3), dtype=bool)
         edge[1, 2] = False
         with pytest.raises(InfeasibleError, match=r"^mask forbids every monotone path$"):
-            lmo_blocks(diagonal_blocks(np.zeros((4, 7)), layout), [None, CellMask(edge)])
+            lmo_blocks(diagonal_blocks(np.zeros((4, 7)), layout), [None, edge])
 
     def test_rejects_non_finite_block(self):
         layout = StreamLayout(i_sizes=[3, 3], j_sizes=[2, 2])

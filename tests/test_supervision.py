@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqalign.core import compute_q
 from seqalign.data import Hyperparameters
+from seqalign.evaluation import jaccard_score, random_path
 from seqalign.polytope import AlignmentPath, InfeasibleError
 from seqalign.supervision import (
     Annotation,
     Stream,
+    _interval_mask,
     annotation_to_path,
     assemble,
     build_interval_mask,
@@ -15,7 +19,12 @@ from seqalign.supervision import (
 )
 
 from conftest import make_stream
-from oracles import discriminative_cost, enumerate_paths
+from oracles import (
+    discriminative_cost,
+    enumerate_paths,
+    interval_mask_sets,
+    jaccard_sets,
+)
 
 
 def _hp(**changes):
@@ -28,11 +37,15 @@ class TestAnnotation:
     def test_normalizes_and_orders(self):
         ann = Annotation(((0, 0, 2), (1, 2, 4)))
         assert ann.entries == ((0, 0, 2), (1, 2, 4))
-        assert ann.rows() == {0: {0, 1}, 1: {2, 3}}
 
     def test_empty_interval_rejected(self):
         with pytest.raises(ValueError):
             Annotation(((0, 3, 3),))
+
+    def test_negative_start_rejected(self):
+        # Slicing from a start of -1 would count columns from the end.
+        with pytest.raises(ValueError, match=r"^row 0: interval \[-1, 3\) starts before column 0$"):
+            Annotation(((0, -1, 3),))
 
     def test_out_of_order_rows_rejected(self):
         with pytest.raises(ValueError):
@@ -58,24 +71,72 @@ class TestIntervalMask:
         mask = build_interval_mask(Annotation(((1, 2, 4),)), j_count=3, i_count=6)
         expect = np.zeros((3, 6), dtype=bool)
         expect[1, [0, 1, 4, 5]] = True
-        np.testing.assert_array_equal(mask.forbidden, expect)
+        np.testing.assert_array_equal(mask, expect)
 
     def test_background_rows_left_free(self):
         mask = build_interval_mask(
             Annotation(((1, 2, 4),)), j_count=3, i_count=6, background_set={1}
         )
-        assert not mask.forbidden.any()
+        assert not mask.any()
 
     def test_infeasible_intervals_raise(self):
         # Row 0 confined away from column 0 leaves no path starting at row 0.
         with pytest.raises(InfeasibleError):
             build_interval_mask(Annotation(((0, 1, 2),)), j_count=2, i_count=2)
 
+    def test_row_of_two_intervals_is_open_on_both(self):
+        mask = build_interval_mask(Annotation(((1, 1, 3), (1, 5, 7))), j_count=3, i_count=8)
+        expect = np.zeros((3, 8), dtype=bool)
+        expect[1, [0, 3, 4, 7]] = True
+        np.testing.assert_array_equal(mask, expect)
+
     def test_paths_respect_intervals(self):
         mask = build_interval_mask(Annotation(((1, 2, 4),)), j_count=3, i_count=6)
         for p in enumerate_paths(6, 3, mask):
             cols = np.flatnonzero(p.assignment == 1)
             assert set(cols) <= {2, 3}
+
+
+@st.composite
+def annotated_paths(draw):
+    """(J, I, annotation, background rows, path): rows of several intervals, some adjacent.
+
+    An annotation's intervals are ordered by row and do not overlap, so they
+    are cut from one ordered set of columns: each cut either stays on the
+    row of the one before it or moves to the next row, and is kept or not.
+    """
+    i = draw(st.integers(1, 16))
+    j = draw(st.integers(1, min(i, 5)))
+    cuts = sorted(draw(st.sets(st.integers(0, i), min_size=2, max_size=10)))
+    entries, row = [], 0
+    for a, b in zip(cuts, cuts[1:]):
+        row += draw(st.sampled_from((0, 0, 1)))
+        if row >= j:
+            break
+        if draw(st.booleans()):
+            entries.append((row, a, b))
+    background = draw(st.frozensets(st.integers(0, j - 1), max_size=j // 2))
+    path = random_path(i, j, draw(st.integers(0, 2**32 - 1)))
+    return j, i, Annotation(tuple(entries)), background, path
+
+
+class TestAgainstColumnSets:
+    """Interval slices against the per-row column sets in oracles.py."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(case=annotated_paths())
+    def test_interval_mask_and_jaccard_score(self, case):
+        j, i, ann, background, path = case
+        assert np.array_equal(
+            _interval_mask(ann, j, i, background), interval_mask_sets(ann, j, i, background)
+        )
+        try:
+            expect = jaccard_sets(path, ann, background)
+        except ValueError:
+            with pytest.raises(ValueError, match="no scorable rows"):
+                jaccard_score(path, ann, background)
+        else:
+            assert jaccard_score(path, ann, background) == expect
 
 
 class TestFixAssignmentMask:
@@ -93,6 +154,12 @@ class TestAnnotationToPath:
         path = annotation_to_path(ann, j_count=5, i_count=7)
         assert set(np.flatnonzero(path.assignment == 1)) == {1, 2}
         assert set(np.flatnonzero(path.assignment == 3)) == {4, 5}
+
+    def test_row_of_two_intervals_takes_the_later_one_on_a_tie(self):
+        # Row 1 holds two columns inside either interval; the oracle stays on row 0 longest.
+        ann = Annotation(((1, 1, 3), (1, 5, 7)))
+        path = annotation_to_path(ann, j_count=3, i_count=8)
+        np.testing.assert_array_equal(path.assignment, [0, 0, 0, 0, 0, 1, 1, 2])
 
     def test_full_annotation_pins_exactly(self):
         ann = Annotation(((0, 0, 2), (1, 2, 3), (2, 3, 5)))
@@ -179,7 +246,7 @@ class TestAssemble:
         inst = assemble([tagged], _hp(supervision="soft"))
         expect = np.zeros((3, 6), dtype=bool)
         expect[1, [0, 1, 4, 5]] = True
-        np.testing.assert_array_equal(inst.masks[0].forbidden, expect)
+        np.testing.assert_array_equal(inst.masks[0], expect)
 
     def test_hard_mode_pins_annotation_path(self):
         rng = np.random.default_rng(2)
