@@ -1,7 +1,7 @@
 """Numeric kernel: one dynamic program over a stack of alignment lattices.
 
 ``dp_align(cost, starts)`` sweeps a (R, C) lattice that stacks the cost
-blocks of every stream of width C (polytope._sweep builds it) column by
+blocks of every stream of width C (polytope.lmo_blocks builds it) column by
 column, all those streams at once, and walks each stream's path forward
 from its row ``starts[n]`` of column 0.  The lattice's last row must be +inf, so that
 no path steps past it, and the sweep overwrites the lattice with the

@@ -17,7 +17,7 @@ import numpy as np
 
 from .polytope import AlignmentPath
 from .rounding import ROUNDINGS
-from .supervision import SUPERVISION_MODES, Annotation
+from .supervision import SUPERVISION_MODES, Annotation, check_entry
 
 ANNOTATION_HEADER = "j,i_start,i_end"
 PREDICTION_HEADER = "i,j"
@@ -81,19 +81,22 @@ def read_annotations(path, j_count=None, i_count=None):
     lines = _nonblank_lines(path)
     if not lines or lines[0][1] != ANNOTATION_HEADER:
         raise ValueError(f"{path}: missing '{ANNOTATION_HEADER}' header")
-    entries = []
+    entries, prev = [], None
     for k, ln in lines[1:]:
         toks = ln.split(",")
         if len(toks) != 3:
             raise ValueError(f"{path}:{k}: expected 'j,i_start,i_end'")
         try:
-            entries.append(tuple(int(t) for t in toks))
+            entry = tuple(int(t) for t in toks)
         except ValueError:
             raise ValueError(f"{path}:{k}: non-integer token") from None
-    ann = Annotation(tuple(entries))
-    if j_count is not None and i_count is not None:
-        ann.validate_range(j_count, i_count)
-    return ann
+        try:
+            check_entry(entry, prev, j_count, i_count)
+        except ValueError as e:
+            raise ValueError(f"{path}:{k}: {e}") from None
+        entries.append(entry)
+        prev = entry
+    return Annotation(tuple(entries))
 
 
 def write_predictions(path, pred):

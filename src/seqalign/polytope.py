@@ -42,10 +42,6 @@ class AlignmentPath:
     def i_count(self):
         return self.assignment.size
 
-    def durations(self):
-        """Number of columns assigned to each row, length j_count."""
-        return np.bincount(self.assignment, minlength=self.j_count)
-
 
 @dataclass(frozen=True)
 class StreamLayout:
@@ -93,8 +89,13 @@ class StreamLayout:
         return matrix[j0 : j0 + self.j_sizes[n], i0 : i0 + self.i_sizes[n]]
 
 
-def _sweep(blocks, masks):
-    """Optimal path and value of every (J_n, I_n) cost block, one DP sweep per width.
+def lmo_blocks(blocks, masks=None):
+    """Per-stream linear minimization over the block-diagonal polytope, one DP sweep per width.
+
+    blocks lists each stream's (J_n, I_n) cost block.  masks is an optional
+    per-stream list of boolean masks (True on a forbidden cell) or None; a
+    hard-supervised stream's mask admits a single path, which the oracle
+    then returns.
 
     The blocks of one width I are stacked into one (sum of J_n + 1, I)
     lattice: block n's J_n rows, then a row of +inf that keeps its last row
@@ -104,8 +105,17 @@ def _sweep(blocks, masks):
     each reachable cell as a DP of its block alone would.  A lattice holds
     only its blocks' cells, so a suite whose streams share one width takes
     one sweep, and one of mixed widths does no more work than stream by
-    stream.  Returns (paths, values) in block order.
+    stream.
+
+    Returns (rows, values) in block order: rows[n] is the (I_n,) int64 row
+    of each column on block n's optimal path, as dp_align wrote it, and
+    values the (N,) float64 block optima.  The DP builds only valid
+    paths, so the rows are not checked again; minimize_linear returns its
+    one as a checked AlignmentPath.  Raises InfeasibleError where a block
+    has no path that avoids its mask.
     """
+    if masks is None:
+        masks = [None] * len(blocks)
     for block in blocks:
         J, I = block.shape
         if J > I:
@@ -139,12 +149,9 @@ def _sweep(blocks, masks):
         values[members], width_rows = dp_align(lattice, starts)
         for n, r in zip(members, width_rows):
             rows[n] = r
-    paths = []
-    for n, block in enumerate(blocks):
-        if not np.isfinite(values[n]):
-            raise InfeasibleError("mask forbids every monotone path")
-        paths.append(AlignmentPath(rows[n], j_count=block.shape[0]))
-    return paths, values
+    if not np.all(np.isfinite(values)):
+        raise InfeasibleError("mask forbids every monotone path")
+    return rows, values
 
 
 def minimize_linear(cost, mask=None):
@@ -158,8 +165,9 @@ def minimize_linear(cost, mask=None):
     Returns (path, value).  Raises InfeasibleError when no path avoids the
     forbidden cells (including the case J > I).
     """
-    paths, values = _sweep([np.asarray(cost, dtype=np.float64)], [mask])
-    return paths[0], float(values[0])
+    cost = np.asarray(cost, dtype=np.float64)
+    rows, values = lmo_blocks([cost], [mask])
+    return AlignmentPath(rows[0], j_count=cost.shape[0]), float(values[0])
 
 
 def band_indicator(j_count, i_count, beta):
@@ -174,26 +182,9 @@ def band_indicator(j_count, i_count, beta):
     return (np.abs(j - i) > beta).astype(np.float64)
 
 
-def lmo_blocks(blocks, masks=None):
-    """Per-stream linear minimization over the block-diagonal polytope.
-
-    blocks lists each stream's (J_n, I_n) cost block.  masks is an optional
-    per-stream list of masks or None; a hard-supervised stream's mask
-    admits a single path, which the oracle then returns.  The streams of
-    one width share one DP sweep (see _sweep).
-
-    Returns (paths, value) with value the sum of block optima.
-    """
-    paths, values = _sweep(blocks, masks if masks is not None else [None] * len(blocks))
-    total = 0.0
-    for v in values.tolist():
-        total += v
-    return paths, total
-
-
-def blocks_to_matrix(paths, layout):
-    """Assemble per-stream vertex paths into a (J_total, I_total) matrix."""
+def blocks_to_matrix(rows, layout):
+    """Assemble per-stream vertex row arrays into a (J_total, I_total) matrix."""
     y = np.zeros((layout.j_total, layout.i_total))
-    for n, p in enumerate(paths):
-        layout.block(y, n)[p.assignment, np.arange(p.i_count)] = 1.0
+    for n, a in enumerate(rows):
+        layout.block(y, n)[a, np.arange(a.size)] = 1.0
     return y

@@ -158,15 +158,11 @@ def exact_line_search(instance, y, direction):
     return _clamped_step(_block_dot(g, d, instance.layout), curvature)
 
 
-def _path_sum(block, path):
-    """<block, V> for the vertex matrix V of a path."""
-    return float(block[path.assignment, np.arange(path.i_count)].sum())
-
-
 class _ActiveSet:
     """Per-stream vertex sets whose weighted sum is the iterate.
 
-    Vertex k is a path of stream ``stream[k]`` with weight ``w[k]``; the
+    Vertex k is a path of stream ``stream[k]``, its (I_n,) row array as
+    the oracle returns it, with weight ``w[k]``; the
     weights of each stream sum to one.  At Y = sum_k w_k V_k the objective
     is 0.5 w^T H w + b^T w + ||mu||^2 / (2 sigma^2) with
 
@@ -180,7 +176,7 @@ class _ActiveSet:
     their durations the rows of ``durations[r]``, and the cells of their
     paths the rows of ``cells[r]``: (place J + row) I + column, a flat
     index into the run's (count, J, I) blocks.  ``lookup`` maps (stream,
-    assignment bytes) to the index; its keys are in index order.
+    row array bytes) to the index; its keys are in index order.
     """
 
     def __init__(self, instance):
@@ -220,36 +216,36 @@ class _ActiveSet:
             weights.append(np.repeat(self.w[self.members[r]], I))
         np.add.at(y.reshape(-1), np.concatenate(cells), np.concatenate(weights))
 
-    def gap(self, grad, v_paths):
-        """<grad, Y - V>, summed stream by stream; grad is gradient's blocks."""
+    def gap(self, grad, v_rows):
+        """<grad, Y - V>, summed stream by stream; grad is gradient's blocks, v_rows V's rows."""
         gap = 0.0
         for r, (first, count) in enumerate(self.instance.layout.runs):
             g = np.stack(grad[first : first + count])
             sums = g.take(self.cells[r]).sum(axis=1)
             # Each stream's w_k <grad, V_k>, added one at a time in vertex order.
             y_dot = np.bincount(self.place[r], self.w[self.members[r]] * sums, count)
-            v = np.stack([p.assignment for p in v_paths[first : first + count]])
+            v = np.stack(v_rows[first : first + count])
             v_dot = g[np.arange(count)[:, None], v, np.arange(g.shape[2])].sum(axis=1)
             for y_n, v_n in zip(y_dot.tolist(), v_dot.tolist()):
                 gap += y_n - v_n
         return gap
 
     def index(self, vertices):
-        """Indices of the (stream, path) pairs ``vertices``; new ones are added with weight 0."""
+        """Indices of the (stream, rows) pairs ``vertices``; new ones are added with weight 0."""
         found, new = [], []
-        for n, path in vertices:
-            key = (n, path.assignment.tobytes())
+        for n, a in vertices:
+            key = (n, a.tobytes())
             k = self.lookup.get(key)
             if k is None:
                 k = self.lookup[key] = self.stream.size + len(new)
-                new.append((n, path))
+                new.append((n, a))
             found.append(k)
         if new:
             self._add(new)
         return found
 
     def _add(self, new):
-        """Append the (stream, path) pairs ``new`` with their rows of H and entries of b.
+        """Append the (stream, rows) pairs ``new`` with their rows of H and entries of b.
 
         H grows once.  Its new rows are written in order, so where two new
         vertices meet, H holds the later one's entry, as when the vertices
@@ -260,7 +256,7 @@ class _ActiveSet:
         sigma2 = inst.sigma**2
         old, size = self.stream.size, self.stream.size + len(new)
         new_stream = np.array([n for n, _ in new])
-        durations = [path.durations() for _, path in new]
+        durations = [np.bincount(a, minlength=layout.j_sizes[n]) for n, a in new]
         new_run = self.run_of[new_stream]
         self.stream = np.concatenate([self.stream, new_stream])
         added = []  # (run, positions in new, places in the run) of the new vertices
@@ -270,7 +266,7 @@ class _ActiveSet:
                 continue
             J, I = layout.j_sizes[first], layout.i_sizes[first]
             place = new_stream[mine] - first
-            paths = np.array([new[v][1].assignment for v in mine])
+            paths = np.array([new[v][1] for v in mine])
             self.members[r] = np.concatenate([self.members[r], old + mine])
             self.place[r] = np.concatenate([self.place[r], place])
             self.cells[r] = np.concatenate(
@@ -281,16 +277,16 @@ class _ActiveSet:
 
         rows = np.empty((len(new), size))
         b = np.concatenate([self.b, np.empty(len(new))])
-        for v, (n, path) in enumerate(new):
+        for v, (n, a) in enumerate(new):
             i0, j0 = layout.i_offsets[n], layout.j_offsets[n]
             # psi V Q of the new vertex needs only stream n's rows of Q.
-            image = psi[:, j0 + path.assignment] @ q[i0 : i0 + path.i_count]
+            image = psi[:, j0 + a] @ q[i0 : i0 + a.size]
             for r, (first, count) in enumerate(layout.runs):
                 products = _run_products(psi, image, layout, first, count)
                 rows[v, self.members[r]] = products.take(self.cells[r]).sum(axis=1)
                 del products  # a (count, J, I) array: keep one alive at a time
             b_new = -float(inst.mu[j0 : j0 + layout.j_sizes[n]] @ durations[v]) / sigma2
-            b_new += inst.alpha * _path_sum(inst.band[n], path)
+            b_new += inst.alpha * inst.band[n][a, np.arange(a.size)].sum()
             b[old + v] = b_new
         rows /= layout.i_total
         for r, mine, place in added:
@@ -324,15 +320,15 @@ class _ActiveSet:
             self.durations[r] = self.durations[r][live]
         self.lookup = {key: k for k, key in enumerate(compress(self.lookup, alive))}
 
-    def corrected_weights(self, v_paths):
-        """Add v_paths to the active sets; weights after a step towards them and a full correction.
+    def corrected_weights(self, v_rows):
+        """Add v_rows to the active sets; weights after a step towards them and a full correction.
 
         The Frank-Wolfe step towards the product vertex is the exact line
         search in the weights; the correction starts from it, so it is never
         worse.  The current weights are left as they are.  Returns the
         weights and the number of steps the correction took.
         """
-        fw = self.index(enumerate(v_paths))
+        fw = self.index(enumerate(v_rows))
         w = self.w
         d = -w
         d[fw] += 1.0
@@ -460,21 +456,21 @@ def _minimize_on_simplices(h, b, stream, n_streams, w):
 
 
 def _initial_paths(instance):
-    """Mask-feasible starting vertex, the uniform diagonal path when allowed."""
+    """Row arrays of the mask-feasible starting vertex, the uniform diagonal path when allowed."""
     layout = instance.layout
     paths = []
     for n in range(layout.n_streams):
         I, J = layout.i_sizes[n], layout.j_sizes[n]
         mask = instance.masks[n]
-        diag = diagonal_path(I, J)
-        if mask is None or not mask[diag.assignment, np.arange(I)].any():
+        diag = diagonal_path(I, J).assignment
+        if mask is None or not mask[diag, np.arange(I)].any():
             paths.append(diag)
         else:
             # Fall back to the feasible path closest to the diagonal.
             j = np.arange(J)[:, None] / J
             i = np.arange(I)[None, :] / I
             p, _ = minimize_linear(np.abs(j - i), mask)
-            paths.append(p)
+            paths.append(p.assignment)
     return paths
 
 
@@ -517,8 +513,8 @@ def solve(instance, max_iter, gap_tol):
 
     for t in range(max_iter + 1):
         grad = gradient(instance, y)
-        v_paths, _ = lmo_blocks(grad, instance.masks)
-        gap = active.gap(grad, v_paths)
+        v_rows, _ = lmo_blocks(grad, instance.masks)
+        gap = active.gap(grad, v_rows)
         result.objective_trace.append(obj)
         result.gap_trace.append(gap)
         result.active_set_trace.append(active.stream.size)
@@ -530,7 +526,7 @@ def solve(instance, max_iter, gap_tol):
         if t == max_iter:
             result.stop_reason = "max_iter"
             break
-        w, result.face_steps_trace[-1] = active.corrected_weights(v_paths)
+        w, result.face_steps_trace[-1] = active.corrected_weights(v_rows)
         new_obj = active.objective(w)
         if not np.isfinite(new_obj):
             raise ValueError(f"non-finite objective at iteration {t}")

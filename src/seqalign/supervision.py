@@ -20,6 +20,27 @@ from .solver import ProblemInstance
 SUPERVISION_MODES = ("none", "soft", "hard")
 
 
+def check_entry(entry, prev=None, j_count=None, i_count=None):
+    """Raise ValueError unless the annotation entry (j, i0, i1) may follow the entry prev.
+
+    prev is the entry before it, None for the first.  Entries are ordered
+    by row, and a row's intervals by start, without overlap.  With j_count
+    and i_count, the entry must also lie inside a (J, I) stream.
+    """
+    j, a, b = entry
+    prev_j, _, prev_end = prev or (-1, -1, -1)
+    if a >= b:
+        raise ValueError(f"row {j}: empty interval [{a}, {b})")
+    if a < 0:
+        raise ValueError(f"row {j}: interval [{a}, {b}) starts before column 0")
+    if j < prev_j or (j > prev_j and a < prev_end):
+        raise ValueError(f"row {j}: intervals out of order or overlapping")
+    if j == prev_j and a < prev_end:
+        raise ValueError(f"row {j}: overlapping intervals")
+    if j_count is not None and not (0 <= j < j_count and 0 <= a < b <= i_count):
+        raise ValueError(f"annotation ({j},{a},{b}) out of range for J={j_count}, I={i_count}")
+
+
 @dataclass(frozen=True)
 class Annotation:
     """Ground-truth intervals: (row j, start i0, end i1), 0-based, end-exclusive."""
@@ -29,22 +50,14 @@ class Annotation:
     def __post_init__(self):
         entries = tuple((int(j), int(a), int(b)) for j, a, b in self.entries)
         object.__setattr__(self, "entries", entries)
-        prev_j, prev_end = -1, -1
-        for j, a, b in entries:
-            if a >= b:
-                raise ValueError(f"row {j}: empty interval [{a}, {b})")
-            if a < 0:
-                raise ValueError(f"row {j}: interval [{a}, {b}) starts before column 0")
-            if j < prev_j or (j > prev_j and a < prev_end):
-                raise ValueError(f"row {j}: intervals out of order or overlapping")
-            if j == prev_j and a < prev_end:
-                raise ValueError(f"row {j}: overlapping intervals")
-            prev_j, prev_end = j, b
+        self.validate_range()
 
-    def validate_range(self, j_count, i_count):
-        for j, a, b in self.entries:
-            if not (0 <= j < j_count and 0 <= a < b <= i_count):
-                raise ValueError(f"annotation ({j},{a},{b}) out of range for J={j_count}, I={i_count}")
+    def validate_range(self, j_count=None, i_count=None):
+        """Check every entry with check_entry, inside a (J, I) stream when sizes are given."""
+        prev = None
+        for entry in self.entries:
+            check_entry(entry, prev, j_count, i_count)
+            prev = entry
 
 
 @dataclass(frozen=True)

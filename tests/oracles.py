@@ -156,13 +156,13 @@ def diagonal_blocks(matrix, layout):
 
 
 def iterate_dense(layout, vertices, weights):
-    """Sum of w_k V_k over the (stream, path) pairs ``vertices``, as a fresh dense array.
+    """Sum of w_k V_k over the (stream, row array) pairs ``vertices``, as a fresh dense array.
 
     Each cell is summed in vertex order, starting from +0.0.
     """
     y = np.zeros((layout.j_total, layout.i_total))
-    for (n, path), w in zip(vertices, weights):
-        layout.block(y, n)[path.assignment, np.arange(path.i_count)] += w
+    for (n, a), w in zip(vertices, weights):
+        layout.block(y, n)[a, np.arange(a.size)] += w
     return y
 
 
@@ -275,7 +275,7 @@ def gradient_per_stream(instance, y):
 
 
 def gram_per_vertex(instance, vertices):
-    """H and b of the weight-space quadratic for (stream, path) pairs added one at a time.
+    """H and b of the weight-space quadratic for (stream, row array) pairs added one at a time.
 
     A pair already added is skipped.  Each new vertex's row of H is
     computed stream by stream against the vertices before it and itself:
@@ -289,17 +289,18 @@ def gram_per_vertex(instance, vertices):
     durations = [[] for _ in range(layout.n_streams)]
     seen, b = set(), []
     h = np.zeros((0, 0))
-    for n, path in vertices:
-        key = (n, path.assignment.tobytes())
+    for n, a in vertices:
+        key = (n, a.tobytes())
         if key in seen:
             continue
         seen.add(key)
         i0, j0 = layout.i_offsets[n], layout.j_offsets[n]
-        image = psi[:, j0 + path.assignment] @ q[i0 : i0 + path.i_count]
+        image = psi[:, j0 + a] @ q[i0 : i0 + a.size]
         size = len(b) + 1
         members[n].append(size - 1)
-        rows[n].append(path.assignment)
-        d_new = path.durations()
+        rows[n].append(a)
+        # The number of columns on each row of the path.
+        d_new = (a == np.arange(layout.j_sizes[n])[:, None]).sum(axis=1)
         durations[n].append(d_new)
         row = np.empty(size)
         for m in range(layout.n_streams):
@@ -312,7 +313,7 @@ def gram_per_vertex(instance, vertices):
         row /= layout.i_total
         row[members[n]] += np.array(durations[n]) @ d_new / sigma2
         b_new = -float(instance.mu[j0 : j0 + layout.j_sizes[n]] @ d_new) / sigma2
-        b_new += instance.alpha * float(instance.band[n][path.assignment, np.arange(path.i_count)].sum())
+        b_new += instance.alpha * float(instance.band[n][a, np.arange(a.size)].sum())
         grown = np.empty((size, size))
         grown[:-1, :-1] = h
         grown[-1, :] = row
@@ -411,6 +412,6 @@ def reference_certificate(instance, result, hp):
     q = np.eye(I) - phi.T @ np.linalg.solve(gram, phi)
     grad = (psi.T @ psi) @ y @ q / I
     grad += ((y.sum(axis=1) - mu) / instance.sigma**2)[:, None] + hp.alpha * band
-    v_paths, _ = lmo_blocks(diagonal_blocks(grad, instance.layout), instance.masks)
-    v = blocks_to_matrix(v_paths, instance.layout)
+    v_rows, _ = lmo_blocks(diagonal_blocks(grad, instance.layout), instance.masks)
+    v = blocks_to_matrix(v_rows, instance.layout)
     return f, float(np.sum(grad * (y - v)))

@@ -735,6 +735,31 @@ class TestCli:
         assert preds == []
         assert not (tmp_path / "out").exists()  # made only once the solve has returned
 
+    @pytest.mark.parametrize(
+        "body, line, message",
+        [
+            ("1,5,5", 2, "row 1: empty interval [5, 5)"),
+            ("1,-1,3", 2, "row 1: interval [-1, 3) starts before column 0"),
+            ("1,0,5\n3,4,7", 3, "row 3: intervals out of order or overlapping"),
+            ("1,0,3\n1,2,7", 3, "row 1: overlapping intervals"),
+            ("1,0,5\n9,6,8", 3, "annotation (9,6,8) out of range for J=5, I=8"),
+        ],
+        ids=["empty", "negative-start", "out-of-order", "overlap", "out-of-range"],
+    )
+    @pytest.mark.parametrize("command", ["align", "eval"])
+    def test_bad_annotation_entry_exits_1_naming_stream_file_and_line(self, tmp_path, capsys,
+                                                                     command, body, line,
+                                                                     message):
+        def edit(raw, suite):
+            (suite / "stream_00.gt.csv").write_text(f"j,i_start,i_end\n{body}\n")
+
+        code, err, preds = self.run_edited(tmp_path, capsys, command, edit)
+        gt = tmp_path / "suite" / "stream_00.gt.csv"
+        assert code == 1
+        assert err == [f"ValueError: stream stream_00: {gt}:{line}: {message}"]
+        assert preds == []
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("supervision", ["soft", "hard"])
     def test_infeasible_annotation_exits_1_naming_the_stream(self, tmp_path, capsys,
                                                              supervision):

@@ -47,10 +47,6 @@ class TestAlignmentPath:
         with pytest.raises(ValueError):
             AlignmentPath(np.array([0, 2, 2]), j_count=3)  # step of 2
 
-    def test_durations(self):
-        p = AlignmentPath(np.array([0, 0, 1, 2, 2]), j_count=3)
-        np.testing.assert_array_equal(p.durations(), [2, 1, 2])
-
 
 class TestPathToMatrix:
     def test_identity(self):
@@ -215,10 +211,10 @@ class TestLmoBlocks:
         rng = np.random.default_rng(5)
         cost = rng.standard_normal((3, 6))
         layout = StreamLayout(i_sizes=[6], j_sizes=[3])
-        paths, value = lmo_blocks(diagonal_blocks(cost, layout))
+        rows, values = lmo_blocks(diagonal_blocks(cost, layout))
         ref_path, ref_value = minimize_linear(cost)
-        np.testing.assert_array_equal(paths[0].assignment, ref_path.assignment)
-        assert value == ref_value
+        np.testing.assert_array_equal(rows[0], ref_path.assignment)
+        assert values.tolist() == [ref_value]
 
     def test_two_identical_blocks(self):
         block = np.array([[0.0, 0.0, 5.0], [9.0, 1.0, 0.0]])
@@ -226,33 +222,33 @@ class TestLmoBlocks:
         cost = np.full((4, 6), 100.0)
         layout.block(cost, 0)[:, :] = block
         layout.block(cost, 1)[:, :] = block
-        paths, value = lmo_blocks(diagonal_blocks(cost, layout))
-        for p in paths:
-            np.testing.assert_array_equal(p.assignment, [0, 0, 1])
-        assert value == 0.0
+        rows, values = lmo_blocks(diagonal_blocks(cost, layout))
+        for a in rows:
+            np.testing.assert_array_equal(a, [0, 0, 1])
+        assert values.tolist() == [0.0, 0.0]
 
     def test_off_block_entries_ignored(self):
         rng = np.random.default_rng(6)
         layout = StreamLayout(i_sizes=[4, 5], j_sizes=[2, 3])
         cost = rng.standard_normal((5, 9))
-        paths, value = lmo_blocks(diagonal_blocks(cost, layout))
+        rows, values = lmo_blocks(diagonal_blocks(cost, layout))
         noisy = cost.copy()
         # Perturb everything outside the diagonal blocks.
         blocks = np.zeros_like(cost, dtype=bool)
         layout.block(blocks, 0)[:, :] = True
         layout.block(blocks, 1)[:, :] = True
         noisy[~blocks] += rng.standard_normal((~blocks).sum()) * 100
-        paths2, value2 = lmo_blocks(diagonal_blocks(noisy, layout))
-        for p, q in zip(paths, paths2):
-            np.testing.assert_array_equal(p.assignment, q.assignment)
-        assert value == value2
+        rows2, values2 = lmo_blocks(diagonal_blocks(noisy, layout))
+        for a, b in zip(rows, rows2):
+            np.testing.assert_array_equal(a, b)
+        np.testing.assert_array_equal(values, values2)
 
     def test_fixed_block_is_pinned(self):
         layout = StreamLayout(i_sizes=[3, 3], j_sizes=[2, 2])
         pinned = AlignmentPath(np.array([0, 1, 1]), j_count=2)
         cost = np.zeros((4, 6))
-        paths, _ = lmo_blocks(diagonal_blocks(cost, layout), [fix_assignment_mask(pinned), None])
-        np.testing.assert_array_equal(paths[0].assignment, pinned.assignment)
+        rows, _ = lmo_blocks(diagonal_blocks(cost, layout), [fix_assignment_mask(pinned), None])
+        np.testing.assert_array_equal(rows[0], pinned.assignment)
 
     def test_mask_of_another_shape_rejected(self):
         blocks = [np.zeros((2, 4)), np.zeros((2, 4))]
@@ -262,11 +258,7 @@ class TestLmoBlocks:
 
     def test_blocks_to_matrix_support(self):
         layout = StreamLayout(i_sizes=[3, 4], j_sizes=[2, 2])
-        paths = [
-            AlignmentPath(np.array([0, 0, 1]), j_count=2),
-            AlignmentPath(np.array([0, 1, 1, 1]), j_count=2),
-        ]
-        y = blocks_to_matrix(paths, layout)
+        y = blocks_to_matrix([np.array([0, 0, 1]), np.array([0, 1, 1, 1])], layout)
         assert y.shape == (4, 7)
         np.testing.assert_array_equal(y.sum(axis=0), 1.0)
         assert y[:2, 3:].sum() == 0 and y[2:, :3].sum() == 0
@@ -299,13 +291,19 @@ class TestLmoBlocksSweep:
 
     def assert_matches_single(self, cost, layout, masks):
         ref = lmo_blocks_single(cost, layout, masks)
-        paths, value = lmo_blocks(diagonal_blocks(cost, layout), masks)
-        total = 0.0
-        for p, (q, v) in zip(paths, ref):
-            np.testing.assert_array_equal(p.assignment, q.assignment)
-            assert p.j_count == q.j_count
-            total += v
-        assert value == total
+        blocks = diagonal_blocks(cost, layout)
+        rows, values = lmo_blocks(blocks, masks)
+        assert len(rows) == len(ref) and values.dtype == np.float64
+        assert values.shape == (len(ref),)
+        for n, (a, (q, v)) in enumerate(zip(rows, ref, strict=True)):
+            assert a.dtype == np.int64
+            np.testing.assert_array_equal(a, q.assignment)
+            assert values[n] == v
+            # Each row array is a path of its block's height, and the path
+            # minimize_linear finds on that block alone.
+            AlignmentPath(a, j_count=q.j_count)
+            path, _ = minimize_linear(blocks[n], None if masks is None else masks[n])
+            np.testing.assert_array_equal(a, path.assignment)
 
     def test_matches_single_stream_dp(self):
         rng = np.random.default_rng(11)
@@ -348,10 +346,10 @@ class TestLmoBlocksSweep:
                 pinned.append(p if pin else None)
                 masks.append(fix_assignment_mask(p) if pin else None)
             self.assert_matches_single(cost, layout, masks)
-            paths, _ = lmo_blocks(diagonal_blocks(cost, layout), masks)
-            for p, q in zip(paths, pinned):
+            rows, _ = lmo_blocks(diagonal_blocks(cost, layout), masks)
+            for a, q in zip(rows, pinned):
                 if q is not None:
-                    np.testing.assert_array_equal(p.assignment, q.assignment)
+                    np.testing.assert_array_equal(a, q.assignment)
 
     def test_matches_enumeration(self):
         rng = np.random.default_rng(16)
@@ -360,15 +358,14 @@ class TestLmoBlocksSweep:
                                                      p_forbid=0.2)
             masks = [m if m is None or enumerate_paths(i, j, m) else None
                      for m, i, j in zip(masks, layout.i_sizes, layout.j_sizes)]
-            paths, value = lmo_blocks(diagonal_blocks(cost, layout), masks)
-            total = 0.0
-            for n, p in enumerate(paths):
+            rows, values = lmo_blocks(diagonal_blocks(cost, layout), masks)
+            for n, a in enumerate(rows):
                 block = layout.block(cost, n)
+                p = AlignmentPath(a, j_count=layout.j_sizes[n])
                 best = min(path_cost(q, block)
                            for q in enumerate_paths(p.i_count, p.j_count, masks[n]))
                 assert path_cost(p, block) == pytest.approx(best, abs=1e-12)
-                total += best
-            assert value == pytest.approx(total, abs=1e-12)
+                assert values[n] == pytest.approx(best, abs=1e-12)
 
     def test_one_sweep_per_width(self, monkeypatch):
         # Streams of one width share a lattice of their own rows plus one
@@ -379,10 +376,11 @@ class TestLmoBlocksSweep:
             shapes.append(lattice.shape)
             return dp_align(lattice, starts)
 
-        monkeypatch.setattr(polytope, "dp_align", counting)
         layout = StreamLayout(i_sizes=[5, 3, 5, 5, 3], j_sizes=[2, 3, 5, 1, 1])
         cost = np.random.default_rng(17).standard_normal((layout.j_total, layout.i_total))
         self.assert_matches_single(cost, layout, None)
+        monkeypatch.setattr(polytope, "dp_align", counting)
+        lmo_blocks(diagonal_blocks(cost, layout))
         assert shapes == [(11, 5), (6, 3)]
 
     def test_infeasible_stream_raises_todays_messages(self):

@@ -198,7 +198,8 @@ class TestGradientBlocks:
                 )
             vertices = [
                 blocks_to_matrix(
-                    [random_path(rng, i, j) for i, j in zip(layout.i_sizes, layout.j_sizes)],
+                    [random_path(rng, i, j).assignment
+                     for i, j in zip(layout.i_sizes, layout.j_sizes)],
                     layout,
                 )
                 for _ in range(3)
@@ -383,7 +384,7 @@ class TestDenseIterate:
         for n in range(layout.n_streams):
             layout.block(in_block, n)[...] = True
         paths = _initial_paths(inst)
-        vertices = {(n, p.assignment.tobytes()): (n, p) for n, p in enumerate(paths)}
+        vertices = {(n, a.tobytes()): (n, a) for n, a in enumerate(paths)}
         active = _ActiveSet(inst)
         active.index(enumerate(paths))
         active.w[:] = 1.0
@@ -391,11 +392,11 @@ class TestDenseIterate:
         obj, cleared = active.objective(active.w), 0
         for _ in range(100):
             grad = gradient(inst, y)
-            v_paths, _ = lmo_blocks(grad, inst.masks)
-            if active.gap(grad, v_paths) <= 1e-6:
+            v_rows, _ = lmo_blocks(grad, inst.masks)
+            if active.gap(grad, v_rows) <= 1e-6:
                 break
-            vertices.update(((n, p.assignment.tobytes()), (n, p)) for n, p in enumerate(v_paths))
-            w, _ = active.corrected_weights(v_paths)
+            vertices.update(((n, a.tobytes()), (n, a)) for n, a in enumerate(v_rows))
+            w, _ = active.corrected_weights(v_rows)
             if not active.objective(w) < obj:
                 break
             active.w, obj = w, active.objective(w)
@@ -509,22 +510,23 @@ class TestActiveSet:
         layout = instance.layout
         candidates = [enumerate_paths(i, j)[:per_stream]
                       for i, j in zip(layout.i_sizes, layout.j_sizes)]
-        return [(n, candidates[n][r]) for r in range(per_stream) for n in range(len(candidates))]
+        return [(n, candidates[n][r].assignment)
+                for r in range(per_stream) for n in range(len(candidates))]
 
     def test_index_returns_existing_vertex_or_adds_one(self):
         inst = self.instance(np.random.default_rng(18))
         active = _ActiveSet(inst)
         vertices = self.interleaved_vertices(inst)
         assert active.index(vertices) == list(range(len(vertices)))
-        copies = [(n, AlignmentPath(p.assignment.copy(), p.j_count)) for n, p in vertices]
+        copies = [(n, a.copy()) for n, a in vertices]
         assert active.index(copies) == list(range(len(vertices)))
         assert [active.index([v])[0] for v in copies] == list(range(len(vertices)))
         assert active.stream.size == active.w.size == len(vertices)
         # The same assignment in another stream of the same shape is another vertex,
         # and a vertex given twice in one call is added once.
-        stream_0 = [p for n, p in vertices if n == 0]
-        extra = next(p for p in enumerate_paths(6, 3) if not any(
-            np.array_equal(p.assignment, q.assignment) for n, q in vertices if n == 1))
+        stream_0 = [a for n, a in vertices if n == 0]
+        extra = next(p.assignment for p in enumerate_paths(6, 3) if not any(
+            np.array_equal(p.assignment, a) for n, a in vertices if n == 1))
         k = len(vertices)
         assert active.index([(0, stream_0[0]), (1, extra), (0, extra), (1, extra)]) == [
             0, k, k + 1, k]
@@ -554,12 +556,12 @@ class TestActiveSet:
             members = np.flatnonzero(np.isin(active.stream, streams))
             np.testing.assert_array_equal(active.members[r], members)
             np.testing.assert_array_equal(active.place[r], active.stream[members] - streams[0])
-            paths = [kept[k][1] for k in members]
+            rows = [kept[k][1] for k in members]
             J, I = inst.layout.j_sizes[streams[0]], inst.layout.i_sizes[streams[0]]
             np.testing.assert_array_equal(active.cells[r], [
-                (n * J + p.assignment) * I + np.arange(I)
-                for n, p in zip(active.place[r], paths)])
-            np.testing.assert_array_equal(active.durations[r], [p.durations() for p in paths])
+                (n * J + a) * I + np.arange(I) for n, a in zip(active.place[r], rows)])
+            np.testing.assert_array_equal(
+                active.durations[r], [np.bincount(a, minlength=J) for a in rows])
 
         # A pruned vertex comes back at the end, with its H row and b entry as before
         # (up to round-off where the other vertex's row computed the entry).
@@ -598,7 +600,7 @@ class TestBatchedBlocksBitForBit:
     def check(rng, inst, n_vertices=5):
         layout = inst.layout
         paths = [
-            [random_path(rng, i, j) if j > 1 else AlignmentPath(np.zeros(i, int), 1)
+            [random_path(rng, i, j).assignment if j > 1 else np.zeros(i, np.int64)
              for _ in range(n_vertices)]
             for i, j in zip(layout.i_sizes, layout.j_sizes)
         ]
@@ -640,7 +642,7 @@ class TestBatchedBlocksBitForBit:
         blind = replace(inst, kernel=CostKernel(np.full_like(q, np.nan), inst.kernel.gram_factor))
         sizes = zip(inst.layout.i_sizes, inst.layout.j_sizes)
         vertex = blocks_to_matrix(
-            [random_path(rng, i, j) if j > 1 else AlignmentPath(np.zeros(i, int), 1)
+            [random_path(rng, i, j).assignment if j > 1 else np.zeros(i, np.int64)
              for i, j in sizes],
             inst.layout,
         )
@@ -657,7 +659,7 @@ class TestBatchedBlocksBitForBit:
         sizes = list(zip(inst.layout.i_sizes, inst.layout.j_sizes))
         vertex, other = (
             blocks_to_matrix(
-                [random_path(rng, i, j) if j > 1 else AlignmentPath(np.zeros(i, int), 1)
+                [random_path(rng, i, j).assignment if j > 1 else np.zeros(i, np.int64)
                  for i, j in sizes],
                 inst.layout,
             )
