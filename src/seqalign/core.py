@@ -10,14 +10,16 @@ and plugging W* back in reduces the objective to the quadratic
     q(Y) = (1 / 2I) Tr(psi Y Q Y^T psi^T)
 
 with the data kernel Q = Id_I - phi^T (phi phi^T + I*lam*Id_D)^{-1} phi.
-solver.gradient states q's gradient from the Cholesky factor of that Gram
-matrix, and solver.objective states q from the gradient.
+ridge_map solves for W* with the Cholesky factor of that Gram matrix,
+solver.gradient states q's gradient from the ridge residual psi Y - W* phi,
+and solver.objective states q from the gradient.
 """
 
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg.lapack import dpotrs
 
 
 @dataclass(frozen=True)
@@ -75,10 +77,17 @@ def compute_q(phi, lam):
     return CostKernel(q_matrix=q, gram_factor=gram_factor)
 
 
+def ridge_map(py, phi, gram_factor):
+    """The (E, D) ridge map W* = py phi^T G^{-1} of py = psi Y, by one dpotrs on G's cho_factor."""
+    c, lower = gram_factor
+    s, _ = dpotrs(c, phi @ py.T, lower=lower)
+    return s.T
+
+
 def fit_model(psi, y, phi, kernel):
     """Closed-form ridge minimizer W* = psi Y phi^T (phi phi^T + I*lam*Id)^{-1}.
 
-    kernel is compute_q(phi, lam); its Gram factor serves the solve.
+    kernel is compute_q(phi, lam); its Gram factor serves ridge_map.
     """
     psi = _check_features(psi, "psi")
     phi = _check_features(phi, "phi")
@@ -89,6 +98,8 @@ def fit_model(psi, y, phi, kernel):
         )
     if kernel.gram_factor[0].shape[0] != phi.shape[0]:
         raise ValueError("kernel was built for features of another dimension")
-    rhs = phi @ (psi @ y).T  # (D, E)
-    return cho_solve(kernel.gram_factor, rhs).T
+    w = ridge_map(psi @ y, phi, kernel.gram_factor)
+    if not np.all(np.isfinite(w)):
+        raise ValueError("array must not contain infs or NaNs")
+    return w
 

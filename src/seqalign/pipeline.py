@@ -234,6 +234,9 @@ def run_sweep(manifest, param, values, seeds, out_dir):
         raise ValueError("empty sweep grid")
     if not seeds:
         raise ValueError("empty seed list")
+    for k, seed in enumerate(seeds):
+        if seed in seeds[:k]:
+            raise ValueError(f"seed {seed} repeated in the seed list")
     synth = asdict(io.check_synth(manifest.synth))
     keys = SWEEP_PARAMS[param]
     points = [value if isinstance(value, tuple) else (value,) for value in values]

@@ -13,8 +13,6 @@ from itertools import groupby
 
 import numpy as np
 
-from ._kernels import dp_align
-
 
 class InfeasibleError(ValueError):
     """No monotone path satisfies the given mask."""
@@ -89,6 +87,29 @@ class StreamLayout:
         return matrix[j0 : j0 + self.j_sizes[n], i0 : i0 + self.i_sizes[n]]
 
 
+def dp_align(cost, starts):
+    """Sweep, in place, one lattice that lmo_blocks built; the contract is stated there.
+
+    Returns (values, paths): values[n] the optimal cost from row starts[n]
+    of column 0, and paths[n, c] the path's row in column c less starts[n].
+    """
+    s = cost
+    R, C = s.shape
+    # Column views of the lattice's upper and lower R - 1 rows, made once.
+    top, low = list(s[:-1].T), list(s[1:].T)
+    best = np.empty(R - 1)
+    for c in range(C - 2, -1, -1):
+        np.minimum(top[c + 1], low[c + 1], out=best)
+        np.add(top[c], best, out=top[c])
+    down = list((s[1:] < s[:-1]).T)
+    paths = np.empty((C, len(starts)), dtype=np.int64)
+    rows = list(paths)
+    rows[0][:] = starts
+    for c in range(1, C):
+        np.add(rows[c - 1], down[c][rows[c - 1]], out=rows[c])
+    return s[starts, 0], (paths - starts).T.copy()
+
+
 def lmo_blocks(blocks, masks=None):
     """Per-stream linear minimization over the block-diagonal polytope, one DP sweep per width.
 
@@ -97,15 +118,18 @@ def lmo_blocks(blocks, masks=None):
     hard-supervised stream's mask admits a single path, which the oracle
     then returns.
 
-    The blocks of one width I are stacked into one (sum of J_n + 1, I)
-    lattice: block n's J_n rows, then a row of +inf that keeps its last row
-    from stepping into the next block (or past the lattice).  The cells of a
-    block's last column above its last row are +inf too, so that every path
-    ends on that row.  dp_align then sweeps the lattice once, and computes
-    each reachable cell as a DP of its block alone would.  A lattice holds
-    only its blocks' cells, so a suite whose streams share one width takes
-    one sweep, and one of mixed widths does no more work than stream by
-    stream.
+    The lattice contract.  The blocks of one width I are stacked into one
+    (sum of J_n + 1, I) lattice, best in Fortran order: block n's J_n rows,
+    the first of them its path's start row, then a row of +inf that keeps
+    its last row from stepping into the next block (or past the lattice).
+    Its masked cells, and those of its last column above its last row, are
+    +inf too, so that every path ends on that row.  dp_align sweeps the
+    lattice once, overwriting each cell with its optimal cost to the last
+    column, and walks each path forward, staying on its row at a tie; each
+    reachable cell gets the value a DP of its block alone would.  A lattice
+    holds only its blocks' cells, so a suite whose streams share one width
+    takes one sweep, and one of mixed widths does no more work than stream
+    by stream.
 
     Returns (rows, values) in block order: rows[n] is the (I_n,) int64 row
     of each column on block n's optimal path, as dp_align wrote it, and

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 from itertools import compress
 
 import numpy as np
-from scipy.linalg.lapack import dposv, dpotrs
+from scipy.linalg.lapack import dposv
 
-from .core import CostKernel, fit_model
+from .core import CostKernel, fit_model, ridge_map
 from .evaluation import diagonal_path
 from .polytope import StreamLayout, blocks_to_matrix, lmo_blocks, minimize_linear
 
@@ -105,10 +105,10 @@ def gradient(instance, y):
 
     The gradient is (1/I) psi^T psi Y Q + (1/sigma^2)(Y 1 - mu) 1^T + alpha Y_c;
     the oracle and the gap read only its diagonal blocks.  The data term is
-    taken as psi_n^T x_n with x = (psi Y) Q, and x from the Gram factor of
-    Q = Id - phi^T G^{-1} phi, G = phi phi^T + I lam Id:
+    taken as psi_n^T x_n with x = (psi Y) Q, and x as the ridge residual,
+    since Q = Id - phi^T G^{-1} phi with G = phi phi^T + I lam Id:
 
-        x = psi Y - (G^{-1} phi (psi Y)^T)^T phi,
+        x = psi Y - W* phi,  W* = core.ridge_map(psi Y, phi, G's factor),
 
     so the gradient never reads the dense (I, I) Q.  It costs
     2 E J_total I_total + 4 E D I_total + sum_n 2 E J_n I_n flops, with
@@ -121,9 +121,7 @@ def gradient(instance, y):
     y = np.asarray(y, dtype=np.float64)
     layout, psi, phi = instance.layout, instance.psi, instance.phi
     py = psi @ y
-    c, lower = instance.kernel.gram_factor
-    s, _ = dpotrs(c, phi @ py.T, lower=lower)
-    x = py - s.T @ phi
+    x = py - ridge_map(py, phi, instance.kernel.gram_factor) @ phi
     d = (y.sum(axis=1) - instance.mu) / instance.sigma**2
     blocks = []
     for first, count in layout.runs:
@@ -392,7 +390,7 @@ def _face_direction(h, g, free, stream):
     a = z.T @ (h.take(f, axis=0).take(f, axis=1) @ z)
     a.flat[:: a.shape[0] + 1] += ridge
     rhs = z.T @ g[f]
-    # scipy's cho_factor and cho_solve, with their messages, in one LAPACK call.
+    # A Cholesky factor and solve, with scipy's messages for them, in one LAPACK call.
     if not (np.isfinite(a).all() and np.isfinite(rhs).all()):
         raise ValueError("array must not contain infs or NaNs")
     _, x, info = dposv(a, rhs, lower=False, overwrite_a=True)

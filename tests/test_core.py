@@ -122,6 +122,11 @@ class TestFitModel:
         # A kernel built for features of another dimension D.
         with pytest.raises(ValueError):
             fit_model(np.ones((2, 2)), np.ones((2, 4)), phi, compute_q(np.ones((3, 4)), lam=0.1))
+        # A non-finite Y, of the right shape, is rejected too.
+        y = np.ones((2, 4))
+        y[1, 2] = np.nan
+        with pytest.raises(ValueError, match="must not contain infs or NaNs"):
+            fit_model(np.ones((2, 2)), y, phi, compute_q(phi, lam=0.1))
 
 
 class TestReducedCost:

@@ -27,6 +27,7 @@ from seqalign.data import (
     write_predictions,
 )
 from seqalign.polytope import AlignmentPath
+from seqalign.rounding import ROUNDINGS
 from seqalign.supervision import Annotation, annotation_to_path
 
 
@@ -491,7 +492,8 @@ class TestCli:
             cli.main(["align", "-h"])
         assert e.value.code == 0 and "--manifest" in capsys.readouterr().out
 
-    def test_synth_align_eval_smoke(self, tmp_path, capsys):
+    @pytest.mark.parametrize("rounding", ROUNDINGS)
+    def test_synth_align_eval_smoke(self, tmp_path, capsys, rounding):
         suite = tmp_path / "suite"
         assert (
             cli.main(
@@ -524,6 +526,8 @@ class TestCli:
                     str(run),
                     "--max-iter",
                     "300",
+                    "--rounding",
+                    rounding,
                 ]
             )
             == 0
@@ -561,6 +565,18 @@ class TestCli:
         assert code == 1
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("ValueError: ")
+
+    def test_eval_of_a_suite_without_annotations_exits_1(self, tmp_path, capsys):
+        pipeline.run_synth(tmp_path, n_streams=2, sentences=2, intervals=6, seed=1)
+        manifest = tmp_path / "manifest.json"
+        raw = json.loads(manifest.read_text())
+        for stream in raw["streams"]:
+            del stream["annotation_path"]
+        manifest.write_text(json.dumps(raw))
+        code = cli.main(["eval", "--manifest", str(manifest), "--out-dir", str(tmp_path)])
+        assert code == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == ["ValueError: no annotated streams to evaluate"]
 
     @pytest.mark.parametrize(
         "lines, error",
@@ -881,13 +897,14 @@ class TestCli:
         "argv",
         [
             ["sweep", "--param", "sigma", "--values", "2", "--seeds", ""],
+            ["sweep", "--param", "sigma", "--values", "2", "--seeds", "1,1"],
             ["sweep", "--param", "sigma", "--values", "1e200"],
             ["synth", "--streams", "0"],
             ["synth", "--supervised-fraction", "2"],
             ["align", "--max-iter", "-1"],
         ],
-        ids=["sweep-empty-seeds", "sweep-overflowing-sigma", "synth-zero-streams",
-             "synth-fraction-above-one", "align-negative-max-iter"],
+        ids=["sweep-empty-seeds", "sweep-repeated-seed", "sweep-overflowing-sigma",
+             "synth-zero-streams", "synth-fraction-above-one", "align-negative-max-iter"],
     )
     def test_out_of_range_command_inputs_exit_1(self, tmp_path, capsys, argv):
         if argv[0] != "synth":

@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqalign import polytope
-from seqalign._kernels import dp_align
 from seqalign.polytope import (
     AlignmentPath,
     InfeasibleError,
     StreamLayout,
     band_indicator,
     blocks_to_matrix,
+    dp_align,
     lmo_blocks,
     minimize_linear,
 )

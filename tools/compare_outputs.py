@@ -6,11 +6,12 @@ Usage:
 
 PARENT_SRC and CHANGE_SRC are ``src`` directories, for example a parent
 commit's, extracted with ``git archive <parent> src | tar -x -C <dir>``,
-and the working tree's ``src``.  The seed-0 suites of every workload in
-e2ebench/workloads.py are synthesised with PARENT_SRC.  Each suite is then
-aligned, with the workload's ``align_flags()``, and evaluated by each
-source, every command in a subprocess of its own with one BLAS thread.
-Compared byte for byte: the exit codes and stderr, the prediction files,
+and the working tree's ``src``.  Each source synthesises the seed-0 suites
+of every workload in e2ebench/workloads.py, as the benchmark synthesises
+its inputs with the checkout's code, then aligns its own suite, with the
+workload's ``align_flags()``, and evaluates it, every command in a
+subprocess of its own with one BLAS thread.  Compared byte for byte: the
+suite files, the exit codes and stderr, the prediction files,
 ``trace.csv``, ``report.json`` less its ``timings``, and ``scores.csv``.
 Prints one line per suite and exits 1 on any difference.
 """
@@ -81,6 +82,18 @@ def _outputs(src, manifest, out_dir, flags):
     return run
 
 
+def _synth_and_outputs(src, root, k, side, seed, workload):
+    """One source's synthesis of a suite, its files, and _outputs of its align and eval."""
+    suite = root / f"suite{k}-{side}"
+    synth = _python(_SYNTH, src, suite, seed, json.dumps(workload.synth))
+    run = {"synth": (synth.returncode, synth.stderr)}
+    if synth.returncode == 0:
+        run.update({f"suite/{p.name}": p.read_bytes() for p in sorted(suite.iterdir())})
+        out_dir = root / f"out{k}-{side}"
+        run.update(_outputs(src, suite / "manifest.json", out_dir, workload.align_flags()))
+    return run
+
+
 def main(argv):
     if len(argv) != 3:
         print(__doc__.strip(), file=sys.stderr)
@@ -92,23 +105,24 @@ def main(argv):
         for workload in _workloads().values():
             for k, seed in enumerate(workload.suite_seeds(0)):
                 name = f"{workload.name} suite {k} (synth seed {seed})"
-                suite = tmp / workload.name / f"suite{k}"
-                synth = _python(_SYNTH, parent, suite, seed, json.dumps(workload.synth))
-                if synth.returncode != 0:
-                    print(f"{name}: synthesis failed: {synth.stderr.strip()}")
+                a, b = (
+                    _synth_and_outputs(src, tmp / workload.name, k, side, seed, workload)
+                    for side, src in (("parent", parent), ("change", change))
+                )
+                failed = [run["synth"][1].strip() for run in (a, b) if run["synth"][0]]
+                if failed:
+                    print(f"{name}: synthesis failed: {failed[0]}")
                     differs += 1
                     continue
-                manifest = suite / "manifest.json"
-                flags = workload.align_flags()
-                a = _outputs(parent, manifest, suite.parent / f"out{k}-parent", flags)
-                b = _outputs(change, manifest, suite.parent / f"out{k}-change", flags)
                 unequal = sorted(key for key in a.keys() | b.keys() if a.get(key) != b.get(key))
-                files = sum(key not in ("align", "eval") for key in a)
+                suite_files = sum(key.startswith("suite/") for key in a)
+                files = len(a) - suite_files - sum(key in ("synth", "align", "eval") for key in a)
                 if unequal:
                     differs += 1
                     print(f"{name}: DIFFERS in {', '.join(unequal)}")
                 else:
-                    print(f"{name}: identical, align exit {a['align'][0]}, {files} files")
+                    print(f"{name}: identical, {suite_files} suite files, "
+                          f"align exit {a['align'][0]}, {files} files")
     return 1 if differs else 0
 
 
