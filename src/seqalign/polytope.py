@@ -8,6 +8,7 @@ solver and by every rounding procedure.  lmo_blocks stacks the blocks of
 all streams of one width into one lattice, so one DP sweep serves them all.
 """
 
+import mmap
 from dataclasses import dataclass, field
 from itertools import groupby
 
@@ -207,8 +208,30 @@ def band_indicator(j_count, i_count, beta):
 
 
 def blocks_to_matrix(rows, layout):
-    """Assemble per-stream vertex row arrays into a (J_total, I_total) matrix."""
-    y = np.zeros((layout.j_total, layout.i_total))
+    """Assemble per-stream vertex row arrays into a (J_total, I_total) matrix.
+
+    The invariant its memory depends on: the matrix is written only on its
+    diagonal blocks, here and by whatever later rebuilds it in place
+    (solver._ActiveSet.matrix).  It is a private anonymous map, so a page
+    becomes resident only when written, and huge pages are refused for it,
+    so that a write does not make a whole 2 MiB region resident.  Only the
+    4 KiB pages under the block rows, about one per row, are then resident;
+    a read of the zeros off the blocks (psi Y, Y 1) finds the kernel's one
+    zero page.  Where mmap has no MAP_PRIVATE (Windows) it is np.zeros.
+    """
+    shape = (layout.j_total, layout.i_total)
+    if hasattr(mmap, "MAP_PRIVATE"):
+        # mmap.mmap(-1, n) alone is MAP_SHARED: shared memory, resident as a whole.
+        buffer = mmap.mmap(
+            -1, max(8 * shape[0] * shape[1], 1), flags=mmap.MAP_PRIVATE | mmap.MAP_ANONYMOUS
+        )
+        try:
+            buffer.madvise(mmap.MADV_NOHUGEPAGE)
+        except (AttributeError, OSError):
+            pass  # no such advice here, or a kernel without huge pages, which needs none
+        y = np.frombuffer(buffer, count=shape[0] * shape[1]).reshape(shape)
+    else:
+        y = np.zeros(shape)
     for n, a in enumerate(rows):
         layout.block(y, n)[a, np.arange(a.size)] = 1.0
     return y

@@ -349,27 +349,30 @@ def _sum_zero_basis(stream_f):
     stream_f lists the stream of each entry; a stream of m entries
     contributes the m - 1 columns of a Helmert basis on them, the streams in
     ascending order.  Column k of a stream's block is 1/sqrt(k(k+1)) on its
-    first k entries, -k/sqrt(k(k+1)) on entry k + 1 and 0 elsewhere.
+    first k entries, -k/sqrt(k(k+1)) on entry k + 1 and 0 elsewhere.  It
+    depends on k alone, so every block is the leading (m, m - 1) corner of
+    the one Helmert matrix of the largest stream.
     """
-    # In stream order (a stable sort of the entries) the streams' blocks are
-    # consecutive: column c has its nonzeros on sorted entries first[c] to
-    # last[c], the last of which holds its -k entry.
-    order = np.argsort(stream_f, kind="stable")
     counts = np.bincount(stream_f)
-    counts = counts[counts > 0]
-    col_stream = np.repeat(np.arange(counts.size), counts - 1)
-    col = np.arange(col_stream.size)
-    last = col + col_stream + 1
-    first = (np.cumsum(counts) - counts)[col_stream]
-    k = last - first
-    norm = np.sqrt(k * (k + 1))
-    # The nonzeros, column by column.
-    col_of = np.repeat(col, k + 1)
-    sorted_row = np.arange(col_of.size) - (np.cumsum(k + 1) - (k + 1) - first)[col_of]
-    values = np.where(sorted_row < last[col_of], (1.0 / norm)[col_of], (-k / norm)[col_of])
-    z = np.zeros((stream_f.size, col.size))
-    z[order[sorted_row], col_of] = values
-    return z
+    counts = counts[counts > 0].tolist()
+    z = np.zeros((stream_f.size, stream_f.size - len(counts)))
+    if not counts:
+        return z
+    m = max(counts)
+    k = np.arange(1.0, m)
+    helmert = np.tri(m - 1, m).T  # 1 where row <= column
+    helmert[1:].flat[::m] = -k
+    helmert /= np.sqrt(k * (k + 1))
+    # The blocks in stream order, each a slice; the rows then go back to the
+    # entries' order, which a stable sort of stream_f maps to stream order.
+    row = col = 0
+    for c in counts:
+        z[row : row + c, col : col + c - 1] = helmert[:c, : c - 1]
+        row += c
+        col += c - 1
+    basis = np.empty_like(z)
+    basis[np.argsort(stream_f, kind="stable")] = z
+    return basis
 
 
 def _face_direction(h, g, free, stream):

@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -262,6 +264,31 @@ class TestLmoBlocks:
         assert y.shape == (4, 7)
         np.testing.assert_array_equal(y.sum(axis=0), 1.0)
         assert y[:2, 3:].sum() == 0 and y[2:, :3].sum() == 0
+
+    @pytest.mark.skipif(
+        not os.path.exists("/proc/self/smaps"), reason="needs Linux's /proc/self/smaps"
+    )
+    def test_blocks_to_matrix_resident_only_under_its_blocks(self):
+        # The kernel-16x250 shape: 16 streams of 41 rows and 250 columns, a
+        # 21 MB matrix whose blocks hold 1.3 MB.  Reading all of it must not
+        # make the zeros off the blocks resident.  The Rss is summed over
+        # every mapping that overlaps the matrix: numpy's huge-page advice
+        # splits an allocation of its own into a 4 KiB head and the rest.
+        layout = StreamLayout(i_sizes=[250] * 16, j_sizes=[41] * 16)
+        y = blocks_to_matrix([np.arange(250) * 41 // 250] * 16, layout)
+        assert y.sum() == 16 * 250
+        first, last = y.ctypes.data, y.ctypes.data + y.nbytes
+        rss_kb, overlaps = 0, False
+        with open("/proc/self/smaps") as smaps:
+            for line in smaps:
+                head = line.split()[0]
+                if "-" in head and not head.endswith(":"):
+                    start, end = (int(v, 16) for v in head.split("-"))
+                    overlaps = start < last and first < end
+                elif overlaps and head == "Rss:":
+                    rss_kb += int(line.split()[1])
+        assert rss_kb > 0
+        assert rss_kb * 1024 < y.nbytes / 4
 
 
 def random_layout_case(rng, n_streams, max_i=30, integer=False, p_forbid=0.0):
